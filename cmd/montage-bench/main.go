@@ -74,7 +74,7 @@ func main() {
 
 func legacyMain() {
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: 4,5,6,7a,7b,8a,8b,9,10,11,12,recovery,net,engines,shard,cluster,writeback,all")
+		figure  = flag.String("figure", "all", "figure to regenerate: 4,5,6,7a,7b,8a,8b,9,10,11,12,recovery,net,shard,cluster,writeback,all")
 		scale   = flag.String("scale", "default", "workload scale: quick, default, paper")
 		systems = flag.String("systems", "", "comma-separated subset of systems (default: all for the figure)")
 		threads = flag.String("threads", "", "comma-separated thread counts (default: scale's list)")
@@ -178,8 +178,6 @@ func legacyMain() {
 			rs, err = bench.RecoveryHashmap(sc, nil, nil)
 		case "net":
 			rs, err = bench.FigNet(sc, nil, nil)
-		case "engines":
-			rs, err = bench.FigEngines(sc, nil, nil)
 		case "shard":
 			rs, err = bench.FigShard(sc, nil, nil)
 		case "cluster":

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 
 	"montage/internal/chaos"
@@ -45,8 +46,6 @@ func main() {
 		mode      = flag.String("mode", "mix", "crash mode: drop, partial, or mix (alternate by seed)")
 		net       = flag.Bool("net", false, "drive schedules through a live TCP server")
 		nodes     = flag.Int("nodes", 1, "with -net: cluster width; >1 proxies schedules over N servers with a mid-schedule node kill+revive")
-		engine    = flag.String("engine", "nonblocking", "epoch engine: nonblocking, blocking, or both (alternate by seed)")
-		dirty     = flag.Bool("dirty", false, "focus schedules on the dirty-coalescing lazy-persist path (hot keys, settle-point crashes)")
 		traceN    = flag.Int("trace", 16, "epoch-lifecycle trace events to dump on a violation")
 		quiet     = flag.Bool("q", false, "suppress the per-1000-schedules progress line")
 	)
@@ -73,7 +72,6 @@ func main() {
 			OpsPerWorker: *ops,
 			Net:          *net,
 			Nodes:        *nodes,
-			DirtyFocus:   *dirty,
 		}
 		if *shards > 0 {
 			cfg.Shards = *shards
@@ -89,16 +87,6 @@ func main() {
 			cfg.Mode = []pmem.CrashMode{pmem.CrashDropAll, pmem.CrashPartial}[s%2]
 		default:
 			fmt.Fprintf(os.Stderr, "unknown -mode %q (want drop, partial, or mix)\n", *mode)
-			os.Exit(2)
-		}
-		switch *engine {
-		case "nonblocking":
-		case "blocking":
-			cfg.BlockingAdvance = true
-		case "both":
-			cfg.BlockingAdvance = s%2 == 1
-		default:
-			fmt.Fprintf(os.Stderr, "unknown -engine %q (want nonblocking, blocking, or both)\n", *engine)
 			os.Exit(2)
 		}
 		rec := obs.New(16)
@@ -130,7 +118,7 @@ func main() {
 	fmt.Printf("explored %d schedules (%d crashes, %d with a second crash mid-recovery), %d recorded ops\n",
 		*schedules, crashes, midRecovery, totalOps)
 	fmt.Printf("crash triggers:")
-	for _, k := range []string{"fence", "drain", "durable", "claim", "settle", "ops", "net-ops", "cluster"} {
+	for _, k := range []string{"fence", "drain", "durable", "ops", "net-ops", "cluster"} {
 		if n := byTrigger[k]; n > 0 {
 			fmt.Printf(" %s=%d", k, n)
 		}
@@ -171,16 +159,14 @@ func reportViolation(cfg chaos.Config, res chaos.Result, rec *obs.Recorder, trac
 	if res.Nodes > 1 {
 		netFlag += fmt.Sprintf(" -nodes %d", res.Nodes)
 	}
-	if res.Blocking {
-		netFlag += " -engine blocking"
+	if cfg.Keys > 0 {
+		netFlag += fmt.Sprintf(" -keys %d", cfg.Keys)
 	}
-	if cfg.DirtyFocus {
-		netFlag += " -dirty"
-	}
-	fmt.Fprintf(w, "VIOLATION seed=%d (trigger=%s crashSeq=%d cutoffs=%v survivors=%d)\n",
-		res.Seed, res.Trigger, res.CrashSeq, res.Cutoffs, res.Survivors)
-	fmt.Fprintf(w, "  reproduce: montage-chaos -seed %d -shards %d -mode %s%s -schedules 1\n",
-		res.Seed, cfg.Shards, modeFlag, netFlag)
+	procs := runtime.GOMAXPROCS(0)
+	fmt.Fprintf(w, "VIOLATION seed=%d (trigger=%s crashSeq=%d cutoffs=%v survivors=%d GOMAXPROCS=%d)\n",
+		res.Seed, res.Trigger, res.CrashSeq, res.Cutoffs, res.Survivors, procs)
+	fmt.Fprintf(w, "  reproduce: GOMAXPROCS=%d montage-chaos -seed %d -shards %d -mode %s%s -schedules 1\n",
+		procs, res.Seed, cfg.Shards, modeFlag, netFlag)
 	bad := map[string]bool{}
 	for _, v := range res.Violations {
 		fmt.Fprintf(w, "  %s\n", v)
@@ -199,7 +185,6 @@ func reportViolation(cfg chaos.Config, res chaos.Result, rec *obs.Recorder, trac
 		evs = evs[len(evs)-traceN:]
 	}
 	for _, e := range evs {
-		fmt.Fprintf(w, "  trace[%d] %-13s tid=%d epoch=%d arg=%d\n",
-			e.Seq, e.Kind, e.TID, e.Epoch, e.Arg)
+		fmt.Fprintf(w, "  %s\n", e)
 	}
 }

@@ -60,20 +60,9 @@ func main() {
 	shards := flag.Int("shards", 1, "independent epoch-domain shards (an existing -pool image's count wins)")
 	arena := flag.Int("arena", 64<<20, "arena size in bytes (per shard)")
 	drainWorkers := flag.Int("drain-workers", 0, "commit workers per epoch-boundary drain (0: auto from GOMAXPROCS, 1: serial)")
-	engine := flag.String("engine", "nonblocking", "epoch engine: nonblocking or blocking")
 	statsFile := flag.String("stats-file", "", "stream runtime-stats snapshots as JSONL to this file")
 	statsInterval := flag.Duration("stats-interval", time.Second, "sample interval for -stats-file (0: only a final snapshot)")
 	flag.Parse()
-
-	blocking := false
-	switch *engine {
-	case "nonblocking", "nb":
-	case "blocking":
-		blocking = true
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q (want nonblocking or blocking)\n", *engine)
-		os.Exit(2)
-	}
 
 	// One recorder for the whole process, shared by every shard: the
 	// crash command replaces the pool's systems but keeps the recorder,
@@ -82,12 +71,9 @@ func main() {
 	cfg := montage.PoolConfig{
 		Shards: *shards,
 		Core: montage.Config{
-			ArenaSize:  *arena,
-			MaxThreads: 1,
-			Epoch: montage.EpochConfig{
-				EpochLength:     montage.DefaultEpochLength,
-				BlockingAdvance: blocking,
-			},
+			ArenaSize:    *arena,
+			MaxThreads:   1,
+			Epoch:        montage.EpochConfig{EpochLength: montage.DefaultEpochLength},
 			DrainWorkers: *drainWorkers,
 			Recorder:     rec,
 		},

@@ -73,7 +73,6 @@ func main() {
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "epoch advance period (shorter: faster epoch-wait acks)")
 	persistDelay := flag.Duration("persist-delay", 0, "emulated device persist latency per epoch advance (0: simulated device is free)")
 	drainWorkers := flag.Int("drain-workers", 0, "commit workers per epoch-boundary drain (0: auto from GOMAXPROCS, 1: serial)")
-	engine := flag.String("engine", "nonblocking", "epoch engine: nonblocking (lock-free advance with helping) or blocking (lock-serialized, quiescence-waiting)")
 	durability := flag.String("durability", "buffered", "default ack mode: buffered, sync, or epoch-wait")
 	maxItem := flag.Int("max-item-size", 1<<20, "max item value size in bytes")
 	allowCrash := flag.Bool("allow-crash", false, "enable the crash protocol extension")
@@ -84,11 +83,6 @@ func main() {
 	flag.Parse()
 
 	mode, err := server.ParseAckMode(*durability)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	blocking, err := parseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -119,22 +113,21 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Addr:            *addr,
-		PoolPath:        *pool,
-		Backend:         *backend,
-		Shards:          *shards,
-		ArenaSize:       *arena,
-		Buckets:         *buckets,
-		Capacity:        *capacity,
-		MaxConns:        *maxConns,
-		EpochLength:     *epochLen,
-		PersistDelay:    *persistDelay,
-		DrainWorkers:    *drainWorkers,
-		BlockingAdvance: blocking,
-		DefaultMode:     mode,
-		MaxItemSize:     *maxItem,
-		AllowCrash:      *allowCrash,
-		Recorder:        rec,
+		Addr:         *addr,
+		PoolPath:     *pool,
+		Backend:      *backend,
+		Shards:       *shards,
+		ArenaSize:    *arena,
+		Buckets:      *buckets,
+		Capacity:     *capacity,
+		MaxConns:     *maxConns,
+		EpochLength:  *epochLen,
+		PersistDelay: *persistDelay,
+		DrainWorkers: *drainWorkers,
+		DefaultMode:  mode,
+		MaxItemSize:  *maxItem,
+		AllowCrash:   *allowCrash,
+		Recorder:     rec,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -199,15 +192,4 @@ func main() {
 	if *pool != "" {
 		fmt.Printf("montage-serve: pool saved to %s\n", *pool)
 	}
-}
-
-// parseEngine maps the -engine flag to server.Config.BlockingAdvance.
-func parseEngine(s string) (bool, error) {
-	switch s {
-	case "nonblocking", "nb":
-		return false, nil
-	case "blocking":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown engine %q (want nonblocking or blocking)", s)
 }

@@ -124,18 +124,11 @@ func runWriteback(scale Scale, threads, keys, drainWorkers int) (float64, float6
 	}
 
 	delta := sys.Stats().Sub(base)
-	// An update is "combined" when it was absorbed before commit: either
-	// a staged write-back landed on an already-staged block (the device's
-	// newest-wins coalescing) or a same-epoch re-persist took the
-	// nonblocking engine's dirty-mark fast path and never re-encoded at
-	// all. Dirty hits don't pass through WriteBack, so both sides of the
-	// ratio must include them for the figure to keep measuring absorption
-	// rather than which layer absorbed.
-	staged := delta.Device.WriteBacks + delta.Epoch.PersistDirtyHits
+	// An update is "combined" when a staged write-back landed on an
+	// already-staged block (the device's newest-wins coalescing).
 	var ratio float64
-	if staged > 0 {
-		combined := delta.Device.WriteBackCoalesced + delta.Epoch.PersistDirtyHits
-		ratio = float64(combined) / float64(staged) * 100
+	if wb := delta.Device.WriteBacks; wb > 0 {
+		ratio = float64(delta.Device.WriteBackCoalesced) / float64(wb) * 100
 	}
 	return mops, ratio, &delta, nil
 }

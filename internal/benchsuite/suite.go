@@ -24,7 +24,7 @@ import (
 )
 
 // AllSections lists the suite's sections in run order.
-var AllSections = []string{"micro", "writeback", "net", "conns", "engines", "shard", "cluster", "serve"}
+var AllSections = []string{"micro", "writeback", "net", "conns", "shard", "cluster", "serve"}
 
 // Config parameterizes a suite run.
 type Config struct {
@@ -195,8 +195,6 @@ func Run(cfg Config) (*Artifact, error) {
 			rows, err = runNet(cfg, scale, mon, logw)
 		case "conns":
 			rows, err = runConns(cfg, scale, mon, logw)
-		case "engines":
-			rows, err = runEngines(cfg, scale, mon, logw)
 		case "shard":
 			rows, err = runShard(cfg, scale, mon, logw)
 		case "cluster":
@@ -389,39 +387,6 @@ func runConns(cfg Config, scale bench.Scale, mon *memMonitor, logw io.Writer) ([
 			m, c := m, c
 			rs, err := cell(cfg, "conns", mon, logw, func() ([]bench.Result, error) {
 				return bench.FigConns(scale, []int{c}, []server.AckMode{m})
-			})
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, rs...)
-		}
-	}
-	return rows, nil
-}
-
-// runEngines A/Bs the two epoch engines (nonblocking vs blocking) over
-// connection counts for the binding ack modes, one cell per engine so
-// each engine's rows share one memory window and one fresh server. The
-// claim the committed baselines record: at >= 4 connections the
-// nonblocking engine's sync-mode throughput and ack p99 beat the
-// blocking engine's (helpers scale where the advance mutex convoys).
-func runEngines(cfg Config, scale bench.Scale, mon *memMonitor, logw io.Writer) ([]Row, error) {
-	conns := []int{1, 2, 4, 8}
-	if cfg.Quick {
-		conns = []int{1, 4}
-	}
-	// Sync-mode cells need enough forced advances per wall second for the
-	// convoy (or its absence) to dominate ramp-up noise.
-	if scale.LoadDuration < time.Second {
-		scale.LoadDuration = time.Second
-	}
-	modes := []server.AckMode{server.AckSync, server.AckEpochWait}
-	var rows []Row
-	for _, m := range modes {
-		for _, c := range conns {
-			m, c := m, c
-			rs, err := cell(cfg, "engines", mon, logw, func() ([]bench.Result, error) {
-				return bench.FigEngines(scale, []int{c}, []server.AckMode{m})
 			})
 			if err != nil {
 				return nil, err

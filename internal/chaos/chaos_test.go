@@ -1,11 +1,17 @@
 package chaos
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"montage/internal/core"
 	"montage/internal/kvstore"
 	"montage/internal/obs"
 	"montage/internal/pmem"
+	"montage/internal/pool"
 )
 
 // TestScheduleSmoke sweeps a band of seeds over the shard-count and
@@ -27,94 +33,62 @@ func TestScheduleSmoke(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, v := range res.Violations {
-			t.Errorf("seed %d (shards=%d mode=%v trigger=%s): %s",
-				seed, cfg.Shards, cfg.Mode, res.Trigger, v)
+			t.Errorf("seed %d (shards=%d mode=%v trigger=%s GOMAXPROCS=%d): %s",
+				seed, cfg.Shards, cfg.Mode, res.Trigger, runtime.GOMAXPROCS(0), v)
 		}
 	}
 }
 
-// TestScheduleEngineMatrix runs the same seed band on both epoch
-// engines and requires zero violations from each; the nonblocking band
-// must include at least one claim-point crash (a power failure inside a
-// helper's DrainShared, between a batch claim and its commit, with >= 2
-// racing helpers armed by the plan).
-func TestScheduleEngineMatrix(t *testing.T) {
+// TestScheduleHotKeys runs a band over a 4-key universe, where nearly
+// every op re-updates a payload already written in the same epoch: the
+// coverage for same-epoch re-update bugs (the size-class-overflow
+// reversion pinned in regression_test.go was one).
+func TestScheduleHotKeys(t *testing.T) {
 	shards := []int{1, 2, 4}
 	modes := []pmem.CrashMode{pmem.CrashDropAll, pmem.CrashPartial}
 	n := int64(32)
 	if testing.Short() {
 		n = 10
 	}
-	for _, blocking := range []bool{false, true} {
-		claimCrashes := 0
-		for seed := int64(1); seed <= n; seed++ {
-			cfg := Config{
-				Seed:            seed,
-				Shards:          shards[seed%3],
-				Mode:            modes[seed%2],
-				BlockingAdvance: blocking,
-			}
-			res, err := RunSchedule(cfg)
-			if err != nil {
-				t.Fatalf("engine blocking=%v seed %d: %v", blocking, seed, err)
-			}
-			if res.Blocking != blocking {
-				t.Fatalf("result engine blocking=%v, want %v", res.Blocking, blocking)
-			}
-			if len(res.Trigger) >= 5 && res.Trigger[:5] == "claim" {
-				claimCrashes++
-				if blocking {
-					t.Fatalf("seed %d: blocking engine drew a claim-point plan (%s)", seed, res.Trigger)
-				}
-			}
-			for _, v := range res.Violations {
-				t.Errorf("engine blocking=%v seed %d (trigger=%s): %s", blocking, seed, res.Trigger, v)
-			}
+	for seed := int64(1); seed <= n; seed++ {
+		cfg := Config{Seed: seed, Shards: shards[seed%3], Mode: modes[seed%2], Keys: 4}
+		res, err := RunSchedule(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !blocking && claimCrashes == 0 {
-			t.Errorf("no claim-point crash in %d nonblocking schedules", n)
+		for _, v := range res.Violations {
+			t.Errorf("seed %d (shards=%d mode=%v trigger=%s GOMAXPROCS=%d): %s",
+				seed, cfg.Shards, cfg.Mode, res.Trigger, runtime.GOMAXPROCS(0), v)
 		}
 	}
 }
 
-// TestScheduleDirtyFocus runs a dirty-focus band on both engines: every
-// nonblocking plan must arm the settle point (a crash between a dirty
-// mark and its lazy encode), the blocking engine — which has no lazy
-// path — must never arm it, and all schedules must recover with zero
-// violations.
-func TestScheduleDirtyFocus(t *testing.T) {
-	shards := []int{1, 2, 4}
-	modes := []pmem.CrashMode{pmem.CrashDropAll, pmem.CrashPartial}
-	n := int64(16)
-	if testing.Short() {
-		n = 6
+// TestScheduleWatchdog wedges a schedule (the recovery hook never
+// returns) and requires RunSchedule to give up with an error carrying the
+// goroutine dump and the trace tail, instead of hanging its caller.
+func TestScheduleWatchdog(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	debugChunks = func(*pool.Pool, [][][]*core.PBlk) { close(entered); <-release }
+	scheduleTimeout = 200 * time.Millisecond
+	defer func() {
+		<-entered // the abandoned schedule has read the hook; safe to reset it
+		close(release)
+		debugChunks = nil
+		scheduleTimeout = 2 * time.Minute
+	}()
+	rec := obs.New(8)
+	rec.SetEnabled(true)
+	_, err := RunSchedule(Config{Seed: 1, Shards: 2, Mode: pmem.CrashDropAll, Recorder: rec})
+	if err == nil {
+		t.Fatal("a wedged schedule returned no error")
 	}
-	for _, blocking := range []bool{false, true} {
-		settlePlans := 0
-		for seed := int64(1); seed <= n; seed++ {
-			cfg := Config{
-				Seed:            seed,
-				Shards:          shards[seed%3],
-				Mode:            modes[seed%2],
-				BlockingAdvance: blocking,
-				DirtyFocus:      true,
-			}
-			res, err := RunSchedule(cfg)
-			if err != nil {
-				t.Fatalf("dirty blocking=%v seed %d: %v", blocking, seed, err)
-			}
-			if len(res.Trigger) >= 6 && res.Trigger[:6] == "settle" {
-				settlePlans++
-				if blocking {
-					t.Fatalf("seed %d: blocking engine drew a settle-point plan (%s)", seed, res.Trigger)
-				}
-			}
-			for _, v := range res.Violations {
-				t.Errorf("dirty blocking=%v seed %d (trigger=%s): %s", blocking, seed, res.Trigger, v)
-			}
-		}
-		if !blocking && settlePlans != int(n) {
-			t.Errorf("settle-point plans = %d, want %d (every nonblocking dirty-focus schedule arms one)", settlePlans, n)
+	for _, want := range []string{
+		fmt.Sprintf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0)),
+		"trace[",             // the trace-ring tail
+		"runDirectSchedule(", // the stuck schedule's stack
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("watchdog report lacks %q", want)
 		}
 	}
 }

@@ -50,7 +50,7 @@ func (c *netClient) setModeLoose(m AckMode) error {
 // recovered fleet, and the checker runs with nil cutoffs (binding-ack
 // checks only — per-node watermarks are not observable through the wire).
 func runClusterSchedule(cfg Config) (Result, error) {
-	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: true, Nodes: cfg.Nodes, Blocking: cfg.BlockingAdvance}
+	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: true, Nodes: cfg.Nodes}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plan := drawPlan(rng, cfg)
 	// Cluster-only draws, after the plan so the shared prefix of the
@@ -64,13 +64,12 @@ func runClusterSchedule(cfg Config) (Result, error) {
 	addrs := make([]string, cfg.Nodes)
 	for n := 0; n < cfg.Nodes; n++ {
 		srv, err := server.New(server.Config{
-			Shards:          cfg.Shards,
-			ArenaSize:       cfg.ArenaSize,
-			MaxConns:        cfg.Workers + 6,
-			EpochLength:     500 * time.Microsecond,
-			AllowCrash:      true,
-			BlockingAdvance: cfg.BlockingAdvance,
-			Recorder:        cfg.Recorder,
+			Shards:      cfg.Shards,
+			ArenaSize:   cfg.ArenaSize,
+			MaxConns:    cfg.Workers + 6,
+			EpochLength: 500 * time.Microsecond,
+			AllowCrash:  true,
+			Recorder:    cfg.Recorder,
 		})
 		if err != nil {
 			return res, err

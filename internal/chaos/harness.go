@@ -1,9 +1,11 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,20 +50,6 @@ type Config struct {
 	Nodes int
 	// ArenaSize is the per-shard arena (default 4 MiB).
 	ArenaSize int
-	// BlockingAdvance runs the schedule on the blocking epoch engine
-	// instead of the default nonblocking one. The nonblocking engine
-	// additionally draws claim-point crash plans (a power failure inside
-	// a helper's DrainShared, between a batch claim and its commit) with
-	// extra racing helpers; the blocking engine never enters that path.
-	BlockingAdvance bool
-	// DirtyFocus biases the schedule at the dirty-coalescing lazy-persist
-	// path: the key universe shrinks (default 4) so same-epoch re-updates
-	// of the same payload dominate, and the crash plan is overridden to
-	// arm the settle point — a power failure between a dirty mark and its
-	// deferred lazy encode — with extra helpers racing the settle sweep.
-	// On the blocking engine (which has no dirty path) the override arms
-	// the drain point instead, keeping an -engine both sweep meaningful.
-	DirtyFocus bool
 	// Recorder, when non-nil, receives the schedule's runtime counters
 	// plus the chaos counters (schedules, ops, crashes, violations).
 	Recorder *obs.Recorder
@@ -76,11 +64,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Keys <= 0 {
 		c.Keys = 12
-		if c.DirtyFocus {
-			// Hot-key contention is the point: with few keys nearly every
-			// op after a payload's first update in an epoch is a dirty hit.
-			c.Keys = 4
-		}
 	}
 	if c.OpsPerWorker <= 0 {
 		c.OpsPerWorker = 40
@@ -101,10 +84,8 @@ type Result struct {
 	Mode   pmem.CrashMode
 	Net    bool
 	// Nodes is the cluster width (1 for single-server schedules).
-	Nodes int
-	// Blocking reports which epoch engine the schedule ran on.
-	Blocking bool
-	Trigger  string
+	Nodes   int
+	Trigger string
 	// Ops is the number of recorded (completed) operations.
 	Ops      int
 	CrashSeq uint64
@@ -137,30 +118,20 @@ type crashPlan struct {
 	midRecovery bool
 	recShard    int
 	recSkip     int
-	// helpers, for claim-point plans, is the number of extra goroutines
-	// racing Advance on the armed shard so that >= 2 concurrent helpers
-	// contend in the claim path when the crash fires.
-	helpers int
 }
 
 func drawPlan(rng *rand.Rand, cfg Config) crashPlan {
 	var p crashPlan
+	// The pinned seeds in regression_test.go depend on this exact draw
+	// sequence: the draw stays five-way, with 2 and 4 both arming the
+	// drain point.
 	switch rng.Intn(5) {
 	case 1:
 		p.armed, p.point = true, pmem.CrashAtFence
-	case 2:
+	case 2, 4:
 		p.armed, p.point = true, pmem.CrashAtDrain
 	case 3:
 		p.armed, p.point = true, pmem.CrashAtDurable
-	case 4:
-		if cfg.BlockingAdvance {
-			// The blocking engine never runs DrainShared; keep the
-			// drain-point crash instead so the draw still arms something.
-			p.armed, p.point = true, pmem.CrashAtDrain
-		} else {
-			p.armed, p.point = true, pmem.CrashAtClaim
-			p.helpers = 2 + rng.Intn(2)
-		}
 	}
 	p.shard = rng.Intn(cfg.Shards)
 	p.skip = rng.Intn(8)
@@ -168,22 +139,6 @@ func drawPlan(rng *rand.Rand, cfg Config) crashPlan {
 	p.midRecovery = rng.Intn(4) == 0
 	p.recShard = rng.Intn(cfg.Shards)
 	p.recSkip = rng.Intn(3)
-	if cfg.DirtyFocus {
-		// Trailing draws only (the base plan above must stay
-		// prefix-deterministic for pinned non-focus seeds): override the
-		// crash point onto the lazy-persist path. The settle point fires
-		// between a dirty mark and its deferred encode — the marked update
-		// dies with the crash, which the checker must accept for buffered
-		// ops and must never see for sync/epoch-wait-acked ones.
-		if cfg.BlockingAdvance {
-			p.armed, p.point = true, pmem.CrashAtDrain
-			p.helpers = 0
-		} else {
-			p.armed, p.point = true, pmem.CrashAtSettle
-			p.helpers = 1 + rng.Intn(2)
-		}
-		p.skip = rng.Intn(4)
-	}
 	return p
 }
 
@@ -194,9 +149,6 @@ func (p crashPlan) trigger(net bool) string {
 		s = fmt.Sprintf("net-ops@%d", p.afterOps)
 	case p.armed:
 		s = fmt.Sprintf("%s@shard%d+%d", p.point, p.shard, p.skip)
-		if p.helpers > 0 {
-			s += fmt.Sprintf("xh%d", p.helpers)
-		}
 	default:
 		s = fmt.Sprintf("ops@%d", p.afterOps)
 	}
@@ -206,18 +158,60 @@ func (p crashPlan) trigger(net bool) string {
 	return s
 }
 
+// scheduleTimeout is the per-schedule watchdog. A healthy schedule takes
+// milliseconds (a cluster one, a second or two); one still running after
+// this long has stopped making progress.
+var scheduleTimeout = 2 * time.Minute
+
 // RunSchedule executes one seeded crash schedule end to end — drive ops,
 // crash, recover, check — and returns its result. A non-nil error means
-// the schedule itself could not run (not a checker violation).
+// the schedule itself could not run (not a checker violation) — including
+// one the watchdog gave up on, whose error carries every goroutine's stack
+// and the tail of the recorder's trace ring; its goroutines are left
+// behind, so the caller should report the error and exit.
 func RunSchedule(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Net {
-		if cfg.Nodes > 1 {
-			return runClusterSchedule(cfg)
-		}
-		return runNetSchedule(cfg)
+	run := runDirectSchedule
+	switch {
+	case cfg.Net && cfg.Nodes > 1:
+		run = runClusterSchedule
+	case cfg.Net:
+		run = runNetSchedule
 	}
-	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Nodes: 1, Blocking: cfg.BlockingAdvance}
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := run(cfg)
+		done <- outcome{res, err}
+	}()
+	watchdog := time.NewTimer(scheduleTimeout)
+	defer watchdog.Stop()
+	select {
+	case o := <-done:
+		return o.res, o.err
+	case <-watchdog.C:
+		var b strings.Builder
+		fmt.Fprintf(&b, "chaos: schedule seed=%d still running after %v (GOMAXPROCS=%d)\n",
+			cfg.Seed, scheduleTimeout, runtime.GOMAXPROCS(0))
+		evs := cfg.Recorder.TraceEvents()
+		for _, ev := range evs[max(0, len(evs)-32):] {
+			fmt.Fprintf(&b, "  %s\n", ev)
+		}
+		stacks := make([]byte, 1<<20)
+		b.Write(stacks[:runtime.Stack(stacks, true)])
+		return Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: cfg.Net, Nodes: cfg.Nodes},
+			errors.New(b.String())
+	}
+}
+
+// runDirectSchedule drives one schedule against the pool through the
+// kvstore API, with armed in-device crash points and per-shard watermark
+// checks.
+func runDirectSchedule(cfg Config) (Result, error) {
+	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Nodes: 1}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plan := drawPlan(rng, cfg)
 	res.Trigger = plan.trigger(false)
@@ -228,7 +222,6 @@ func RunSchedule(cfg Config) (Result, error) {
 		MaxThreads: cfg.Workers + 1,
 		Recorder:   cfg.Recorder,
 	}
-	ccfg.Epoch.BlockingAdvance = cfg.BlockingAdvance
 	p, err := pool.New(pool.Config{Shards: cfg.Shards, Core: ccfg})
 	if err != nil {
 		return res, err
@@ -279,31 +272,6 @@ func RunSchedule(cfg Config) (Result, error) {
 			time.Sleep(time.Duration(20+arng.Intn(120)) * time.Microsecond)
 		}
 	}()
-
-	// Claim-point plans race extra helpers on the armed shard: the crash
-	// must be able to fire while >= 2 threads are concurrently inside the
-	// nonblocking claim/commit path (DrainShared).
-	var helperWG sync.WaitGroup
-	if plan.helpers > 0 {
-		for h := 0; h < plan.helpers; h++ {
-			helperWG.Add(1)
-			go func(h int) {
-				defer helperWG.Done()
-				hrng := rand.New(rand.NewSource(cfg.Seed ^ int64(0xbeef0000+h)))
-				for {
-					select {
-					case <-crashed:
-						return
-					case <-advStop:
-						return
-					default:
-					}
-					p.Shard(plan.shard).Advance()
-					time.Sleep(time.Duration(hrng.Intn(60)) * time.Microsecond)
-				}
-			}(h)
-		}
-	}
 
 	opErrs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
@@ -370,7 +338,6 @@ func RunSchedule(cfg Config) (Result, error) {
 	wg.Wait()
 	close(advStop)
 	<-advDone
-	helperWG.Wait()
 	for _, e := range opErrs {
 		if e != nil {
 			return res, e

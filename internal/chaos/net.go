@@ -92,19 +92,18 @@ func (c *netClient) get(key string) (string, bool, error) {
 // watermarks are not observable through the wire, so the checker runs
 // with nil cutoffs: binding-ack checks only.
 func runNetSchedule(cfg Config) (Result, error) {
-	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: true, Nodes: 1, Blocking: cfg.BlockingAdvance}
+	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: true, Nodes: 1}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plan := drawPlan(rng, cfg)
 	res.Trigger = plan.trigger(true)
 
 	srv, err := server.New(server.Config{
-		Shards:          cfg.Shards,
-		ArenaSize:       cfg.ArenaSize,
-		MaxConns:        cfg.Workers + 4,
-		EpochLength:     500 * time.Microsecond,
-		AllowCrash:      true,
-		BlockingAdvance: cfg.BlockingAdvance,
-		Recorder:        cfg.Recorder,
+		Shards:      cfg.Shards,
+		ArenaSize:   cfg.ArenaSize,
+		MaxConns:    cfg.Workers + 4,
+		EpochLength: 500 * time.Microsecond,
+		AllowCrash:  true,
+		Recorder:    cfg.Recorder,
 	})
 	if err != nil {
 		return res, err

@@ -301,13 +301,8 @@ func TestRecoveryDeleteNotYetDurableResurrects(t *testing.T) {
 }
 
 func TestSameEpochPNewPDeleteLeavesNothing(t *testing.T) {
-	// Blocking engine: a never-written-back payload vanishes instantly.
-	// Under the nonblocking engine the bytes are staged eagerly, so the
-	// same sequence takes the anti-payload path with delayed reclamation
-	// (TestNonblockingSameEpochPNewPDelete).
-	cfg := Config{ArenaSize: 1 << 22, MaxThreads: 4}
-	cfg.Epoch.BlockingAdvance = true
-	s, err := NewSystem(cfg)
+	// A never-written-back payload vanishes instantly.
+	s, err := NewSystem(Config{ArenaSize: 1 << 22, MaxThreads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,52 +327,6 @@ func TestSameEpochPNewPDeleteLeavesNothing(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("ephemeral payload resurrected: %d payloads", len(got))
-	}
-}
-
-func TestNonblockingSameEpochPNewPDelete(t *testing.T) {
-	// Nonblocking engine twin of TestSameEpochPNewPDeleteLeavesNothing:
-	// eager staging means the PNew's bytes are already in the device's
-	// staging layer when the PDelete arrives, so the instant-free fast
-	// path is skipped — the payload converts in place to an anti-payload,
-	// reclamation is delayed past the two-epoch window, and recovery sees
-	// nothing either way.
-	s, err := NewSystem(Config{ArenaSize: 1 << 22, MaxThreads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := s.Heap().Live()
-	if err := s.DoOp(0, func(op Op) error {
-		p, err := op.PNew([]byte("ephemeral-nb"))
-		if err != nil {
-			return err
-		}
-		if !p.flushed.Load() {
-			t.Fatal("nonblocking PNew did not stage eagerly")
-		}
-		return op.PDelete(p)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Delayed reclamation: the block is still allocated (its staged DELETE
-	// header must reach the media before the address can be reused).
-	if s.Heap().Live() != live+1 {
-		t.Fatalf("live = %d after same-epoch create+delete, want %d (delayed reclaim)", s.Heap().Live(), live+1)
-	}
-	for i := 0; i < 4; i++ {
-		s.Advance()
-	}
-	if s.Heap().Live() != live {
-		t.Fatalf("live = %d after reclamation window, want %d", s.Heap().Live(), live)
-	}
-	s.Sync(0)
-	s.Device().Crash(pmem.CrashDropAll)
-	_, got, err := Recover(s.Device(), Config{ArenaSize: 1 << 22, MaxThreads: 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("ephemeral payload resurrected under the nonblocking engine: %d payloads", len(got))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"montage/internal/payload"
@@ -27,6 +28,17 @@ type PBlk struct {
 	tag   uint16
 	data  []byte
 
+	// mu orders same-epoch in-place mutations (Set, PDelete) against a
+	// write-back of this block running on another thread. The structure's
+	// own lock keeps operations on a payload apart, but not the flusher:
+	// the payload sits in the container of whichever thread queued it
+	// first, and that thread writes it back on overflow or when helping a
+	// sync without holding the structure's lock. Under mu a write-back
+	// sees either all of a mutation or none of it, and a mutation that
+	// follows a write-back finds buffered already cleared, so it is
+	// queued again rather than lost.
+	mu sync.Mutex
+
 	buffered atomic.Bool // queued in a to_persist buffer
 	flushed  atomic.Bool // written back at least once (bytes may be durable)
 	dead     atomic.Bool // cancelled or superseded: skip queued write-backs
@@ -44,6 +56,10 @@ func (p *PBlk) PEncodedSize() int { return payload.EncodedSize(len(p.data)) }
 func (p *PBlk) PEncodeInto(dst []byte) {
 	payload.Encode(dst, payload.Header{Epoch: p.epoch, UID: p.uid, Typ: p.typ, Tag: p.tag}, p.data)
 }
+
+// Lock and Unlock bracket one write-back of the block (epoch.flushOne).
+func (p *PBlk) Lock()   { p.mu.Lock() }
+func (p *PBlk) Unlock() { p.mu.Unlock() }
 
 // MarkBuffered implements epoch.Persistable.
 func (p *PBlk) MarkBuffered() bool { return p.buffered.CompareAndSwap(false, true) }
@@ -149,7 +165,9 @@ func (op Op) Set(p *PBlk, data []byte) (*PBlk, error) {
 		// In-place update: the block is "hot" — created or already copied
 		// in this epoch — so mutating it cannot break the two-epoch rule.
 		if len(data) <= s.heap.DataCapacity(p.addr) {
+			p.mu.Lock()
 			p.data = append(p.data[:0], data...)
+			p.mu.Unlock()
 			s.esys.AddToPersist(op.tid, op.epoch, p)
 			return p, nil
 		}
@@ -183,7 +201,9 @@ func (op Op) Set(p *PBlk, data []byte) (*PBlk, error) {
 		// completed (the durable clock is written after Drain), so every
 		// recovery either discards the epoch entirely or sees exactly one
 		// image.
+		p.mu.Lock()
 		p.dead.Store(true)
+		p.mu.Unlock()
 		var zero [8]byte
 		if err := s.dev.WriteBack(op.tid, p.addr, zero[:]); err != nil {
 			return nil, err
@@ -206,10 +226,12 @@ func (op Op) PDelete(p *PBlk) error {
 	}
 	s := op.sys
 	if p.epoch == op.epoch {
+		p.mu.Lock()
 		if p.typ == payload.Alloc && !p.flushed.Load() {
 			// Created this epoch and never written back: no durable or
 			// staged bytes exist, so the block can be reused at once.
 			p.dead.Store(true)
+			p.mu.Unlock()
 			s.heap.Free(op.tid, p.addr)
 			return nil
 		}
@@ -219,6 +241,7 @@ func (op Op) PDelete(p *PBlk) error {
 		// sure the DELETE version is (re)queued for write-back.
 		p.typ = payload.Delete
 		p.data = nil
+		p.mu.Unlock()
 		s.esys.AddToPersist(op.tid, op.epoch, p)
 		s.esys.AddToFree(op.tid, op.epoch+1, p.addr)
 		return nil

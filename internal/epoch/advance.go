@@ -11,15 +11,8 @@ import (
 // Advance performs one epoch advance, charged to the background thread.
 // Tests and manually driven systems call it directly; benchmark
 // configurations trigger it from operation boundaries or a real-time
-// daemon. Under the nonblocking engine the call is one helping attempt:
-// it drains staged work and tries to CAS-publish the next clock value;
-// losing the CAS still means the clock moved (a racing helper won), so a
-// single call always observes the epoch advance by at least one.
+// daemon.
 func (s *Sys) Advance() {
-	if !s.cfg.BlockingAdvance {
-		s.advanceNB(simclock.DaemonTID)
-		return
-	}
 	rec := s.stats.Get()
 	lockStart := rec.Start()
 	s.advMu.Lock()
@@ -247,31 +240,14 @@ func (s *Sys) Sync(tid int) {
 	rec.Trace(tid, obs.TraceSyncStart, s.epoch.Load(), 0)
 	s.syncActive.Add(1)
 	target := s.epoch.Load() + 2
-	if !s.cfg.BlockingAdvance {
-		// Helping sync: every attempt either wins the clock CAS, loses it
-		// to a racing helper (the clock moved anyway), or aborts on the
-		// dirty-backlog gate because a straddler's same-epoch update has
-		// not reached its deferred encode yet. The first two are
-		// system-wide progress, so absent straddlers the loop is bounded
-		// by two plus the number of concurrent advances; a gate abort
-		// waits out the straddling operation — the one place the lazy
-		// persist path trades the blocking engine's lock queue for a
-		// bounded-by-op-length spin.
-		for s.epoch.Load() < target {
-			if !s.advanceNB(tid) && s.epoch.Load() < target {
-				runtime.Gosched()
-			}
+	for s.epoch.Load() < target {
+		lockStart := rec.Start()
+		s.advMu.Lock()
+		rec.ObserveSince(tid, obs.HAdvLockWaitNs, lockStart)
+		if s.epoch.Load() < target {
+			s.advanceLocked(tid)
 		}
-	} else {
-		for s.epoch.Load() < target {
-			lockStart := rec.Start()
-			s.advMu.Lock()
-			rec.ObserveSince(tid, obs.HAdvLockWaitNs, lockStart)
-			if s.epoch.Load() < target {
-				s.advanceLocked(tid)
-			}
-			s.advMu.Unlock()
-		}
+		s.advMu.Unlock()
 	}
 	s.syncActive.Add(-1)
 	rec.Inc(tid, obs.CEpochSyncs)

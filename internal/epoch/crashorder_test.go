@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ import (
 //
 // The window is made exact with a crash armed at the clock write's own
 // fence: the notify callback runs on the advancing goroutine at the
-// crash instant, between the commit's steal and the media. The volatile
+// crash instant, before the clock write commits. The volatile
 // clock readable at that instant is what any waiter could have acted on
 // before the machine died, and the durable clock left behind must cover
 // it. With the correct order the new value is not yet published at the
@@ -31,7 +32,7 @@ func TestAdvancePublishesDurableClockFirst(t *testing.T) {
 	for round := 0; round < 8; round++ {
 		var vAtCrash atomic.Uint64
 		// A bare advance's only Fence is the clock write's: skip 0 lands
-		// the crash between the clock commit's steal and the media.
+		// the crash inside it, before the clock commit reaches the media.
 		f.dev.ArmCrash(pmem.CrashAtFence, 0, pmem.CrashDropAll, func() {
 			vAtCrash.Store(f.sys.Epoch())
 		})
@@ -54,6 +55,79 @@ func TestAdvancePublishesDurableClockFirst(t *testing.T) {
 		f.dev.Revive()
 		f.sys.Advance()
 	}
+}
+
+// gatedPayload parks its flush (in PDead, the first thing flushOne asks)
+// until released, holding a worker between taking a payload out of its
+// container and staging it on the device.
+type gatedPayload struct {
+	*mockPayload
+	once             sync.Once
+	entered, release chan struct{}
+}
+
+func (g *gatedPayload) PDead() bool {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.mockPayload.PDead()
+}
+
+// TestAdvanceCoversHelpingWorker pins the other half of the ordering: the
+// durable clock may not certify an epoch while one of its payloads is in
+// the hands of a worker helping a sync. The helper drains its own
+// previous-epoch container from BeginOp, where it is already registered
+// in the new epoch and waitAll no longer waits for it; an advance that
+// found the container emptied and drained the device before the helper
+// had staged the payload would write a clock that promises the payload,
+// and a crash there loses an epoch that syncs and epoch-wait acks had
+// already covered.
+func TestAdvanceCoversHelpingWorker(t *testing.T) {
+	f := newFixture(t, Config{})
+	s := f.sys
+	e := s.BeginOp(0)
+	p := &gatedPayload{
+		mockPayload: f.newPayload(t, 0, e, 1, []byte("helped")),
+		entered:     make(chan struct{}),
+		release:     make(chan struct{}),
+	}
+	s.AddToPersist(0, e, p)
+	s.EndOp(0)
+	s.Advance() // clock e+1; p still sits in to_persist[e]
+
+	s.syncActive.Add(1) // a sync is in flight, so BeginOp helps
+	helperDone := make(chan struct{})
+	go func() {
+		defer close(helperDone)
+		s.BeginOp(0) // drains to_persist[e]; parks mid-flush on the gate
+		s.EndOp(0)
+	}()
+	<-p.entered
+	advDone := make(chan struct{})
+	go func() {
+		defer close(advDone)
+		s.Advance() // e+1 -> e+2 certifies epoch e
+	}()
+	covered := func() {
+		t.Helper()
+		if clk, err := ReadClock(f.dev); err != nil || clk != e+2 {
+			t.Fatalf("durable clock = %d (%v), want %d", clk, err, e+2)
+		}
+		if h, ok := f.durableHeader(t, p.addr); !ok || h.Epoch != e {
+			t.Fatalf("durable clock certifies epoch %d but its payload is not on the media", e)
+		}
+	}
+	select {
+	case <-advDone:
+		covered() // an advance that did not wait must have persisted p itself
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(p.release)
+	<-advDone
+	<-helperDone
+	s.syncActive.Add(-1)
+	covered()
 }
 
 // TestWaitPersistedReleasedOnTeardown hammers the crash-teardown wakeup:

@@ -102,17 +102,6 @@ type Config struct {
 	// only; the mindicator is the paper's mechanism for keeping sync
 	// cheap.
 	DisableMindicator bool
-	// BlockingAdvance selects the original lock-serialized advance engine
-	// (advMu + waitAll quiescence + mindicator-gated boundary scans). The
-	// zero value selects the nonblocking (nbMontage) engine: payloads are
-	// published eagerly into the device's write-combining staging layer,
-	// the clock is CAS-published, and any thread — daemon pacer, Sync
-	// caller, or epoch-wait helper — claims and commits staged batches
-	// then attempts the advance, so a stalled operation never blocks the
-	// persistence frontier. Configurations whose correctness depends on
-	// the blocking engine's quiescence (PolicyPerOp/PolicyDirect owner
-	// fences, LocalFree worker reclamation) force this flag on.
-	BlockingAdvance bool
 }
 
 func (c Config) withDefaults() Config {
@@ -121,14 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufferSize <= 0 {
 		c.BufferSize = 64
-	}
-	// The per-op and direct write-back policies buffer payloads in the
-	// per-thread containers and fence them from the owning worker, and
-	// LocalFree reclaims from the owner under the quiescence guarantee
-	// waitAll provides; all three predate the nonblocking engine and
-	// require the blocking one.
-	if c.Policy != PolicyBuffered || c.LocalFree {
-		c.BlockingAdvance = true
 	}
 	return c
 }
@@ -218,23 +199,6 @@ type Sys struct {
 	persistMu sync.Mutex
 	persistCh chan struct{}
 
-	// Nonblocking engine state (cfg.BlockingAdvance == false).
-	//
-	// nbFrontier is the announced advance target: a helper raises it to
-	// curr+1 before claiming staged batches, so a writer that stages an
-	// epoch-e payload afterward can detect (frontier >= e+2) that the
-	// drain making e durable may already have passed its staging buffer,
-	// and self-fence. clockMu serializes durable clock writes, and
-	// durClock mirrors the durable clock's high-water mark so a stale
-	// helper can never regress it below a faster racer's newer value.
-	// settleFn is the deferred-encode callback handed to the device's
-	// settle paths, bound once at construction so the dirty-hit fast path
-	// stays allocation-free.
-	nbFrontier atomic.Uint64
-	clockMu    sync.Mutex
-	durClock   atomic.Uint64
-	settleFn   pmem.SettleFunc
-
 	// down is closed (once) when the system is torn down — Close after its
 	// final advances, or Abandon after a crash. Persist ticks stop at that
 	// point, so WaitPersisted waiters must be released through this channel
@@ -273,12 +237,10 @@ func NewAt(heap *ralloc.Heap, cfg Config, start uint64) *Sys {
 	}
 	s.persistCh = make(chan struct{})
 	s.down = make(chan struct{})
-	s.settleFn = s.settleEntry
 	// Inherit any recorder already attached to the device so the
 	// background daemon is instrumented from its first tick.
 	s.stats.Set(heap.Device().Recorder())
 	s.epoch.Store(start)
-	s.durClock.Store(start)
 	s.writeClock(simclock.DaemonTID, start)
 	if cfg.EpochLength > 0 {
 		s.startDaemon()
@@ -507,13 +469,7 @@ func (s *Sys) maybeAdvance(tid int) {
 		if s.cfg.WorkerAdvance {
 			chargeTid = tid
 		}
-		if s.cfg.BlockingAdvance {
-			s.advanceLocked(chargeTid)
-		} else {
-			// advMu serves only as the trigger-dedup gate here; the
-			// advance itself is the lock-free helping path.
-			s.advanceNB(chargeTid)
-		}
+		s.advanceLocked(chargeTid)
 	}
 	s.advMu.Unlock()
 }
@@ -529,15 +485,6 @@ func (s *Sys) AddToPersist(tid int, e uint64, p Persistable) {
 	}
 	if s.cfg.Policy == PolicyDirect {
 		s.flushOne(tid, p, obs.CPersistDirect)
-		return
-	}
-	if !s.cfg.BlockingAdvance {
-		// Nonblocking engine: publish the payload's encoded image into the
-		// device staging layer right away (the shared to-be-persisted
-		// container of nbMontage). Helpers commit it; only the owner ever
-		// serializes the payload, so a straddler mutating its payload
-		// in place never races a helper's encode.
-		s.persistEager(tid, e, p)
 		return
 	}
 	if !p.MarkBuffered() {
@@ -607,6 +554,14 @@ func (s *Sys) AddToFree(tid int, e uint64, addr pmem.Addr) {
 // a payload reaches the device). The write remains staged until a fence
 // (the worker's own, or the boundary Drain).
 func (s *Sys) flushOne(tid int, p Persistable, kind obs.CounterID) {
+	// Another thread's operation may be updating the payload in place (it
+	// is hot in that operation's epoch) while this thread writes it back
+	// on overflow or when helping a sync; a payload that can be mutated
+	// that way is a Locker, held from the dead check to the flag updates.
+	if l, ok := p.(sync.Locker); ok {
+		l.Lock()
+		defer l.Unlock()
+	}
 	rec := s.stats.Get()
 	if p.PDead() {
 		p.ClearBuffered()
@@ -626,7 +581,12 @@ func (s *Sys) flushOne(tid int, p Persistable, kind obs.CounterID) {
 }
 
 // persistLocal drains thread tid's own buffers for all epochs <= maxE.
-// The caller is responsible for a subsequent fence.
+// The caller is responsible for a subsequent fence. Entries are staged on
+// the device before the container lock is released: the sync-helping
+// caller is no longer active in the epochs it drains, so waitAll does not
+// cover it, and an advance whose boundary scan found this container
+// already emptied must find the payloads in the staging layer its Drain
+// commits — never in this thread's hands.
 func (s *Sys) persistLocal(tid int, maxE uint64) {
 	ts := &s.threads[tid]
 	for slot := 0; slot < 4; slot++ {
@@ -639,10 +599,10 @@ func (s *Sys) persistLocal(tid int, maxE uint64) {
 		entries := pb.entries
 		pb.entries = nil
 		label := pb.label
-		pb.mu.Unlock()
 		for _, p := range entries {
 			s.flushOne(tid, p, obs.CPersistWorker)
 		}
+		pb.mu.Unlock()
 		ts.mindMu.Lock()
 		if ts.pendEpoch[label%4] == label {
 			ts.pendCount[label%4] -= len(entries)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"montage/internal/obs"
 	"montage/internal/payload"
 	"montage/internal/pmem"
 	"montage/internal/ralloc"
@@ -112,10 +113,9 @@ func TestCheckEpochDetectsAdvance(t *testing.T) {
 }
 
 func TestPayloadDurableAfterTwoAdvances(t *testing.T) {
-	// Blocking engine: the buffered container defers the write-back to the
-	// e+1 -> e+2 boundary. (The nonblocking engine stages eagerly and may
-	// commit earlier; see nonblocking_test.go for its durability pins.)
-	f := newFixture(t, Config{BlockingAdvance: true})
+	// The buffered container defers the write-back to the e+1 -> e+2
+	// boundary.
+	f := newFixture(t, Config{})
 	e := f.sys.BeginOp(0)
 	p := f.newPayload(t, 0, e, 1, []byte("payload-one"))
 	f.sys.AddToPersist(0, e, p)
@@ -157,7 +157,7 @@ func TestClockPersistsOnAdvance(t *testing.T) {
 }
 
 func TestBufferOverflowIncrementalWriteback(t *testing.T) {
-	f := newFixture(t, Config{BufferSize: 8, BlockingAdvance: true})
+	f := newFixture(t, Config{BufferSize: 8})
 	e := f.sys.BeginOp(0)
 	var ps []*mockPayload
 	for i := 0; i < 13; i++ {
@@ -195,7 +195,7 @@ func TestBufferOverflowIncrementalWriteback(t *testing.T) {
 func TestRebufferAfterIncrementalFlush(t *testing.T) {
 	// A payload drained by overflow and then modified again in the same
 	// epoch must be re-queued and re-flushed.
-	f := newFixture(t, Config{BufferSize: 2, BlockingAdvance: true})
+	f := newFixture(t, Config{BufferSize: 2})
 	e := f.sys.BeginOp(0)
 	p0 := f.newPayload(t, 0, e, 1, []byte("v1"))
 	f.sys.AddToPersist(0, e, p0)
@@ -222,7 +222,7 @@ func TestRebufferAfterIncrementalFlush(t *testing.T) {
 }
 
 func TestDuplicateAddSkipped(t *testing.T) {
-	f := newFixture(t, Config{BlockingAdvance: true})
+	f := newFixture(t, Config{})
 	e := f.sys.BeginOp(0)
 	p := f.newPayload(t, 0, e, 1, []byte("x"))
 	f.sys.AddToPersist(0, e, p)
@@ -234,10 +234,8 @@ func TestDuplicateAddSkipped(t *testing.T) {
 }
 
 func TestDeadPayloadSkipped(t *testing.T) {
-	// Blocking engine: a payload that dies while buffered is skipped. The
-	// nonblocking engine has already staged it by then; cancellation is
-	// handled by the anti-payload path instead.
-	f := newFixture(t, Config{BlockingAdvance: true})
+	// A payload that dies while buffered is skipped.
+	f := newFixture(t, Config{})
 	e := f.sys.BeginOp(0)
 	p := f.newPayload(t, 0, e, 1, []byte("cancelled"))
 	f.sys.AddToPersist(0, e, p)
@@ -383,9 +381,7 @@ func TestSyncMakesWorkDurable(t *testing.T) {
 }
 
 func TestAdvanceWaitsForStragglers(t *testing.T) {
-	// Blocking engine only: waitAll's quiescence is exactly what the
-	// nonblocking engine removes (TestFrontierNotBlockedByStalledOp).
-	f := newFixture(t, Config{BlockingAdvance: true})
+	f := newFixture(t, Config{})
 	e := f.sys.BeginOp(0) // op in epoch e
 	// Advance e -> e+1 does not require e's quiescence, but the next
 	// advance (e+1 -> e+2) must wait for our op.
@@ -479,10 +475,8 @@ func TestCloseFlushesEverything(t *testing.T) {
 }
 
 func TestOldestUnpersistedTracking(t *testing.T) {
-	// The mindicator mirrors the buffered containers, which only the
-	// blocking engine populates (the nonblocking engine's staging layer
-	// has nothing pending after AddToPersist returns).
-	f := newFixture(t, Config{BlockingAdvance: true})
+	// The mindicator mirrors the buffered containers.
+	f := newFixture(t, Config{})
 	if f.sys.OldestUnpersisted() != int64(1<<63-1) {
 		t.Fatal("fresh system should report Empty")
 	}
@@ -557,5 +551,32 @@ func TestEpochPayloadsTrigger(t *testing.T) {
 	}
 	if got := f.sys.Epoch(); got != start+1 {
 		t.Fatalf("epoch = %d after 5 payloads, want %d", got, start+1)
+	}
+}
+
+// TestAdvLockWaitHistogram proves the advance's convoy instrumentation:
+// every advMu acquisition on the Advance/Sync paths records into
+// adv_lock_wait_ns, so daemon-vs-Sync contention is visible.
+func TestAdvLockWaitHistogram(t *testing.T) {
+	f := newFixture(t, Config{})
+	rec := obs.New(4)
+	f.sys.SetRecorder(rec)
+	var wg sync.WaitGroup
+	for tid := 0; tid < 2; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				e := f.sys.BeginOp(tid)
+				p := f.newPayload(t, tid, e, uint64(tid*100+i+1), []byte("convoy"))
+				f.sys.AddToPersist(tid, e, p)
+				f.sys.EndOp(tid)
+				f.sys.Sync(tid)
+			}
+		}(tid)
+	}
+	wg.Wait()
+	if got := rec.Snapshot().Latency.AdvLockWaitNs.Count; got == 0 {
+		t.Fatal("no adv_lock_wait_ns samples recorded under Sync contention")
 	}
 }

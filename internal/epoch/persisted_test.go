@@ -9,10 +9,8 @@ import (
 // rule: work performed in epoch e is reported durable exactly when the
 // clock has ticked twice past it, never earlier.
 func TestPersistedEpochTwoEpochRule(t *testing.T) {
-	// Blocking engine: pins the buffered write-back timing along with the
-	// watermark rule. The nonblocking twin (which stages eagerly) lives in
-	// nonblocking_test.go.
-	f := newFixture(t, Config{BlockingAdvance: true})
+	// Pins the buffered write-back timing along with the watermark rule.
+	f := newFixture(t, Config{})
 	s := f.sys
 
 	e := s.BeginOp(0)

@@ -34,27 +34,20 @@ type CounterID int
 
 const (
 	// Epoch system (internal/epoch).
-	CEpochAdvances      CounterID = iota // completed epoch advances
-	CEpochSyncs                          // completed Sync calls
-	CPersistQueued                       // payloads queued for write-back
-	CPersistBoundary                     // payloads written back at an epoch boundary
-	CPersistOverflow                     // payloads written back on buffer overflow
-	CPersistWorker                       // payloads written back by their own worker (per-op policy, sync helping)
-	CPersistDirect                       // payloads written back immediately (direct policy)
-	CPersistDead                         // queued payloads skipped because they died before write-back
-	CPersistBytes                        // payload bytes handed to the device for write-back
-	CFreeQueued                          // blocks queued for delayed reclamation
-	CFreeReclaimed                       // blocks reclaimed after the two-epoch delay
-	CMindicatorSkips                     // boundary scans skipped thanks to the mindicator
-	CMindicatorScans                     // boundary scans actually performed
-	CPersistEager                        // payloads published eagerly to the device staging layer (nonblocking engine)
-	CPersistLateFence                    // straddler self-fences forced by the persistence frontier (nonblocking engine)
-	CAdvHelps                            // nonblocking advance attempts (daemon pacer, sync callers, helpers)
-	CAdvCASFails                         // advance attempts that lost the clock CAS to a racing helper
-	CPendClampNegative                   // pending-entry accounting went negative and was clamped (bug signal)
-	CPersistDirtyHits                    // same-epoch re-updates absorbed by a dirty mark, skipping the encode (nonblocking engine)
-	CPersistLazyEncodes                  // deferred encodes run at settle time (straddler self-fence or advance sweep)
-	CAdvDirtyStalls                      // advance attempts aborted because un-settled dirty entries still hold the epoch open
+	CEpochAdvances     CounterID = iota // completed epoch advances
+	CEpochSyncs                         // completed Sync calls
+	CPersistQueued                      // payloads queued for write-back
+	CPersistBoundary                    // payloads written back at an epoch boundary
+	CPersistOverflow                    // payloads written back on buffer overflow
+	CPersistWorker                      // payloads written back by their own worker (per-op policy, sync helping)
+	CPersistDirect                      // payloads written back immediately (direct policy)
+	CPersistDead                        // queued payloads skipped because they died before write-back
+	CPersistBytes                       // payload bytes handed to the device for write-back
+	CFreeQueued                         // blocks queued for delayed reclamation
+	CFreeReclaimed                      // blocks reclaimed after the two-epoch delay
+	CMindicatorSkips                    // boundary scans skipped thanks to the mindicator
+	CMindicatorScans                    // boundary scans actually performed
+	CPendClampNegative                  // pending-entry accounting went negative and was clamped (bug signal)
 
 	// Simulated NVM device (internal/pmem).
 	CWriteBacks         // WriteBack calls (staged cacheline write-backs)
@@ -62,8 +55,6 @@ const (
 	CWriteBackCoalesced // write-backs absorbed in place by an already-staged block (write combining)
 	CFences             // Fence calls
 	CDrains             // Drain calls (epoch-boundary full drains)
-	CDrainClaims        // per-thread staged batches claimed by shared (helper) drains
-	CClaimSkippedDirty  // dirty (un-settled) staged entries a shared drain left for their owner
 	CReads              // Read calls
 	CReadBytes          // bytes read
 	CCommits            // staged writes committed durable (fence/drain/durable writes)

@@ -30,20 +30,12 @@ type EpochStats struct {
 	PersistBytes    uint64 `json:"persist_bytes"`
 	// PersistPending is derived: payloads queued but not yet written back
 	// (or skipped as dead) anywhere in the system.
-	PersistPending  uint64 `json:"persist_pending"`
-	FreeQueued      uint64 `json:"free_queued"`
-	FreeReclaimed   uint64 `json:"free_reclaimed"`
-	MindicatorSkips uint64 `json:"mindicator_skips"`
-	MindicatorScans uint64 `json:"mindicator_scans"`
-	// Nonblocking (nbMontage) engine counters.
-	PersistEager       uint64 `json:"persist_eager"`
-	PersistLateFence   uint64 `json:"persist_late_fence"`
-	AdvanceHelps       uint64 `json:"advance_helps"`
-	AdvanceCASFails    uint64 `json:"advance_cas_fails"`
-	PendClampNegative  uint64 `json:"pend_clamp_negative"`
-	PersistDirtyHits   uint64 `json:"persist_dirty_hits"`
-	PersistLazyEncodes uint64 `json:"persist_lazy_encodes"`
-	AdvanceDirtyStalls uint64 `json:"advance_dirty_stalls"`
+	PersistPending    uint64 `json:"persist_pending"`
+	FreeQueued        uint64 `json:"free_queued"`
+	FreeReclaimed     uint64 `json:"free_reclaimed"`
+	MindicatorSkips   uint64 `json:"mindicator_skips"`
+	MindicatorScans   uint64 `json:"mindicator_scans"`
+	PendClampNegative uint64 `json:"pend_clamp_negative"`
 }
 
 // DeviceStats are the simulated NVM device's counters.
@@ -56,8 +48,6 @@ type DeviceStats struct {
 	WriteBackCoalesced uint64 `json:"write_backs_coalesced"`
 	Fences             uint64 `json:"fences"`
 	Drains             uint64 `json:"drains"`
-	DrainClaims        uint64 `json:"drain_claims"`
-	ClaimSkippedDirty  uint64 `json:"claim_skipped_dirty"`
 	Reads              uint64 `json:"reads"`
 	ReadBytes          uint64 `json:"read_bytes"`
 	Commits            uint64 `json:"commits"`
@@ -351,24 +341,15 @@ func buildSnapshot(raw *rawStats) Snapshot {
 		PersistDirect:   c[CPersistDirect],
 		PersistDead:     c[CPersistDead],
 		PersistBytes:    c[CPersistBytes],
-		// A queued payload is resolved by exactly one of: a boundary /
-		// overflow / worker / dead / eager write-back, or a dirty mark
-		// absorbing it into an already-staged entry (the lazy encode then
-		// refreshes that entry; it does not resolve another queued payload).
+		// A queued payload is resolved by exactly one of: a boundary,
+		// overflow or worker write-back, or being skipped as dead.
 		PersistPending: sub64(c[CPersistQueued],
-			c[CPersistBoundary]+c[CPersistOverflow]+c[CPersistWorker]+c[CPersistDead]+c[CPersistEager]+c[CPersistDirtyHits]),
-		FreeQueued:         c[CFreeQueued],
-		FreeReclaimed:      c[CFreeReclaimed],
-		MindicatorSkips:    c[CMindicatorSkips],
-		MindicatorScans:    c[CMindicatorScans],
-		PersistEager:       c[CPersistEager],
-		PersistLateFence:   c[CPersistLateFence],
-		AdvanceHelps:       c[CAdvHelps],
-		AdvanceCASFails:    c[CAdvCASFails],
-		PendClampNegative:  c[CPendClampNegative],
-		PersistDirtyHits:   c[CPersistDirtyHits],
-		PersistLazyEncodes: c[CPersistLazyEncodes],
-		AdvanceDirtyStalls: c[CAdvDirtyStalls],
+			c[CPersistBoundary]+c[CPersistOverflow]+c[CPersistWorker]+c[CPersistDead]),
+		FreeQueued:        c[CFreeQueued],
+		FreeReclaimed:     c[CFreeReclaimed],
+		MindicatorSkips:   c[CMindicatorSkips],
+		MindicatorScans:   c[CMindicatorScans],
+		PendClampNegative: c[CPendClampNegative],
 	}
 	s.Device = DeviceStats{
 		WriteBacks:         c[CWriteBacks],
@@ -376,8 +357,6 @@ func buildSnapshot(raw *rawStats) Snapshot {
 		WriteBackCoalesced: c[CWriteBackCoalesced],
 		Fences:             c[CFences],
 		Drains:             c[CDrains],
-		DrainClaims:        c[CDrainClaims],
-		ClaimSkippedDirty:  c[CClaimSkippedDirty],
 		Reads:              c[CReads],
 		ReadBytes:          c[CReadBytes],
 		Commits:            c[CCommits],

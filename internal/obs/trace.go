@@ -50,6 +50,11 @@ type TraceEvent struct {
 	Arg    uint64    `json:"arg,omitempty"`
 }
 
+// String renders the event as one aligned log line.
+func (e TraceEvent) String() string {
+	return fmt.Sprintf("trace[%d] %-13s tid=%d epoch=%d arg=%d", e.Seq, e.Kind, e.TID, e.Epoch, e.Arg)
+}
+
 // DefaultTraceCap is the trace ring capacity: enough for hundreds of
 // epoch boundaries of context without unbounded growth.
 const DefaultTraceCap = 1024

@@ -2,6 +2,9 @@ package pmem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -198,5 +201,74 @@ func TestFailedDeviceDiscardsNewStages(t *testing.T) {
 	d.Fence(2)
 	if got := readAt(t, d, 64, 1); got[0] != 0 {
 		t.Fatal("write staged while failed committed after revive")
+	}
+}
+
+func TestDrainCoversConcurrentFence(t *testing.T) {
+	// When Drain returns, every write staged before it began is durable —
+	// including one a worker's own Fence is committing at that moment. If
+	// the fence's batch could be in flight outside its buffer (stolen, not
+	// yet committed), a Drain would pass the empty buffer and return, and
+	// an epoch advance would certify an epoch one of whose payloads a
+	// crash could still lose.
+	d := newDev(t)
+	const rounds = 20000
+	var staged atomic.Uint64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var b [8]byte
+		for i := uint64(1); i <= rounds; i++ {
+			binary.LittleEndian.PutUint64(b[:], i)
+			if err := d.WriteBack(1, 64, b[:]); err != nil {
+				t.Error(err)
+				return
+			}
+			staged.Store(i)
+			d.Fence(1)
+		}
+	}()
+	for staged.Load() < rounds {
+		want := staged.Load()
+		d.Drain(0)
+		if got := binary.LittleEndian.Uint64(readAt(t, d, 64, 8)); got < want {
+			t.Fatalf("Drain returned with durable value %d; %d was staged before it began", got, want)
+		}
+	}
+	<-done
+}
+
+func TestCrashAtFenceBatchStaysStaged(t *testing.T) {
+	// A crash armed at a fence fires with the fencing thread's writes
+	// still in its staging buffer. While the crash waits behind a Drain
+	// that is already running, that Drain can still take and commit them,
+	// so whatever the Drain's caller stages afterwards (the epoch clock)
+	// never outlives writes it was entitled to assume durable.
+	d := newDev(t)
+	if err := d.WriteBack(1, 64, []byte{0xAB}); err != nil {
+		t.Fatal(err)
+	}
+	d.ArmCrash(CrashAtFence, 0, CrashDropAll, nil)
+	d.drainMu.Lock() // a Drain is in progress
+	fenced := make(chan struct{})
+	go func() {
+		defer close(fenced)
+		d.Fence(1)
+	}()
+	for pending := true; pending; runtime.Gosched() { // wait for the fence to consume the arm...
+		d.armMu.Lock()
+		pending = d.armed != nil
+		d.armMu.Unlock()
+	}
+	if n := d.PendingWrites(1); n != 1 { // ...it now waits for drainMu
+		t.Fatalf("fencing thread has %d staged writes while its crash is pending, want 1", n)
+	}
+	d.drainMu.Unlock()
+	<-fenced
+	if !d.Failed() {
+		t.Fatal("armed fence crash did not fire")
+	}
+	if got := readAt(t, d, 64, 1); got[0] != 0 {
+		t.Fatal("a write that died in the crash reached the media")
 	}
 }

@@ -53,17 +53,6 @@ type stagedWrite struct {
 	addr Addr
 	data []byte
 	seq  uint64
-
-	// Lazy-persist state (nonblocking engine). A dirty entry's data slice
-	// holds a stale image: a same-epoch re-update was recorded by MarkDirty
-	// without re-encoding, and enc re-serializes the block at settle time.
-	// tag is the epoch the pending encode belongs to; it stays set after a
-	// successful settle (until the entry is stolen) so the epoch engine can
-	// see settled-but-uncommitted entries when deciding whether an epoch's
-	// updates have all reached the claimable state.
-	dirty bool
-	enc   Encoder
-	tag   uint64
 }
 
 // maxPoolBufs bounds the per-thread staging-buffer pool; overflow is left
@@ -79,8 +68,6 @@ type threadBuf struct {
 	pool     [][]byte     // recycled staging copies
 	inactive []stagedWrite
 	absorbed uint64 // write-backs coalesced into an existing entry since the last steal
-
-	dirtyCount int // staged entries with a pending lazy encode
 }
 
 // stageLocked returns a staging buffer of n bytes for addr, coalescing
@@ -92,16 +79,6 @@ func (b *threadBuf) stageLocked(d *Device, addr Addr, n int) ([]byte, bool) {
 	seq := d.seq.Add(1)
 	if i, ok := b.index[addr]; ok {
 		e := &b.staged[i]
-		// A raw stage supersedes any pending lazy encode for the block: the
-		// canonical case is a header invalidation for a dead payload, which
-		// must not be clobbered later by a settle re-encoding the retired
-		// object over it.
-		if e.dirty {
-			e.dirty = false
-			b.dirtyCount--
-		}
-		e.enc = nil
-		e.tag = 0
 		if cap(e.data) >= n {
 			e.data = e.data[:n]
 		} else {
@@ -144,9 +121,7 @@ func (b *threadBuf) putBuf(buf []byte) {
 // stealLocked detaches the staged batch for committing, leaving the
 // buffer ready for new writes without allocating (the batch array comes
 // back via recycleLocked). It returns the batch and the number of
-// WriteBack calls it represents (coalesced writes included). Dirty
-// entries are taken too — only the crash paths use this on buffers that
-// can hold them, and a crash never commits what it steals.
+// WriteBack calls it represents (coalesced writes included).
 func (b *threadBuf) stealLocked() ([]stagedWrite, uint64) {
 	if len(b.staged) == 0 {
 		return nil, 0
@@ -157,44 +132,7 @@ func (b *threadBuf) stealLocked() ([]stagedWrite, uint64) {
 	clear(b.index)
 	writes := b.absorbed + uint64(len(batch))
 	b.absorbed = 0
-	b.dirtyCount = 0
 	return batch, writes
-}
-
-// stealCleanLocked detaches only the entries whose staged bytes are
-// current — everything except dirty entries, whose lazy encode has not
-// run and whose staged image is stale. Dirty entries stay in the buffer
-// for their owner (or an advance sweep) to settle; committing them as-is
-// could durably publish a superseded image. Returns the clean batch, the
-// write-back count it represents, and how many dirty entries were left
-// behind.
-func (b *threadBuf) stealCleanLocked() ([]stagedWrite, uint64, int) {
-	if b.dirtyCount == 0 {
-		batch, writes := b.stealLocked()
-		return batch, writes, 0
-	}
-	old := b.staged
-	keep := b.inactive[:0]
-	b.inactive = nil
-	k := 0
-	for i := range old {
-		if old[i].dirty {
-			keep = append(keep, old[i])
-		} else {
-			old[k] = old[i]
-			k++
-		}
-	}
-	batch := old[:k]
-	b.staged = keep
-	clear(b.index)
-	for i := range keep {
-		b.index[keep[i].addr] = i
-	}
-	writes := b.absorbed + uint64(len(batch))
-	b.absorbed = 0
-	dirtyLeft := b.dirtyCount
-	return batch, writes, dirtyLeft
 }
 
 // recycleLocked returns a committed batch's staging copies to the pool
@@ -407,176 +345,6 @@ func (d *Device) finishStage(tid, n int, coalesced bool) {
 	}
 }
 
-// MarkDirty records a same-block re-update without re-encoding: if tid
-// already has a staged entry for addr, the entry is marked dirty, its
-// pending encoder/epoch-tag are replaced (newest wins), and its sequence
-// stamp is refreshed so the eventual settled image orders after every
-// write the mark supersedes. The staged bytes are left stale; the
-// deferred encode runs via SettleOwn or SettleAll and serializes the
-// block's state as of settle time (the encoded size is probed then, not
-// now — another thread may grow the block through its own staged copy in
-// the meantime). Returns false if there is no staged entry to mark (the
-// caller stages eagerly as usual). The hit path performs no virtual-time
-// charges and no allocation — that is the entire point.
-func (d *Device) MarkDirty(tid int, addr Addr, tag uint64, enc Encoder) bool {
-	if d.failed.Load() {
-		// Fail-stopped: swallow the update like WriteBack does, without
-		// sending the caller to the eager path to stage into a dead device.
-		return true
-	}
-	b := d.buf(tid)
-	b.mu.Lock()
-	i, ok := b.index[addr]
-	if !ok {
-		b.mu.Unlock()
-		return false
-	}
-	e := &b.staged[i]
-	if !e.dirty {
-		e.dirty = true
-		b.dirtyCount++
-	}
-	e.enc = enc
-	e.tag = tag
-	e.seq = d.seq.Add(1)
-	b.absorbed++
-	b.mu.Unlock()
-	return true
-}
-
-// SettleFunc probes a dirty staged entry's deferred encode: given the
-// encoder recorded by the last MarkDirty, return the block's current
-// encoded size and true to proceed — the device then serializes the
-// block via enc.PEncodeInto under the buffer lock — or false to decline
-// (the block is dead or otherwise obsolete), reverting the entry to a
-// plain staged write holding its pre-mark image.
-type SettleFunc func(tid int, enc Encoder) (n int, ok bool)
-
-// settleEntryLocked runs the deferred encode for staged entry i. The
-// size is probed from the live block at settle time: a same-epoch
-// re-update by another thread lands in that thread's own buffer (the
-// dirty mark here only hits the owner's entry), so the block behind enc
-// may have grown or shrunk since the mark. On success the entry's bytes
-// become the block's current image and only its epoch tag remains set
-// (cleared when the entry is stolen); on decline the old bytes and
-// length are kept and the tag is dropped. The entry's sequence stamp is
-// the mark-time stamp either way, preserving cross-thread newest-wins
-// ordering against writes the mark superseded. The caller holds b.mu.
-func (b *threadBuf) settleEntryLocked(tid, i int, settle SettleFunc) (int, bool) {
-	e := &b.staged[i]
-	n, ok := settle(tid, e.enc)
-	if ok {
-		if cap(e.data) >= n {
-			e.data = e.data[:n]
-		} else {
-			b.putBuf(e.data)
-			e.data = b.takeBuf(n)
-		}
-		e.enc.PEncodeInto(e.data)
-	}
-	e.dirty = false
-	e.enc = nil
-	b.dirtyCount--
-	if !ok {
-		e.tag = 0
-	}
-	return n, ok
-}
-
-// SettleOwn runs the deferred encode for tid's own dirty entry at addr,
-// if one exists. This is the straddler path: the owner is about to fence
-// past the persistence frontier and must make its staged image current
-// first. The caller must own the block (hold whatever structure lock
-// serializes mutations to it), which it does on every AddToPersist path.
-func (d *Device) SettleOwn(tid int, addr Addr, settle SettleFunc) {
-	if d.failed.Load() {
-		return
-	}
-	b := d.buf(tid)
-	b.mu.Lock()
-	i, ok := b.index[addr]
-	if !ok || !b.staged[i].dirty {
-		b.mu.Unlock()
-		return
-	}
-	if a := d.takeArmed(CrashAtSettle); a != nil {
-		// The power failed between the dirty mark and its lazy encode: the
-		// stale staged image joins the crash's staged population, and the
-		// marked update is lost — permissible for buffered-mode updates,
-		// whose epoch can never have been acked durable while un-settled
-		// entries held the clock back.
-		b.mu.Unlock()
-		d.crashWith(a.mode, nil)
-		if a.notify != nil {
-			a.notify()
-		}
-		return
-	}
-	n, settled := b.settleEntryLocked(tid, i, settle)
-	b.mu.Unlock()
-	if settled {
-		d.finishStage(tid, n, true)
-	}
-}
-
-// SettleAll sweeps every thread's buffer and runs the deferred encode for
-// each dirty entry whose epoch tag is eligible. The epoch engine calls it
-// from advance with an eligibility check that admits only epochs that are
-// closed and quiescent (no straddler can still be mutating the block), so
-// encoding another thread's entry here is race-free. Returns the number
-// of entries settled.
-func (d *Device) SettleAll(tid int, eligible func(tag uint64) bool, settle SettleFunc) int {
-	if d.failed.Load() {
-		return 0
-	}
-	settled := 0
-	for ti := range d.threads {
-		b := &d.threads[ti]
-		b.mu.Lock()
-		for i := range b.staged {
-			e := &b.staged[i]
-			if !e.dirty || !eligible(e.tag) {
-				continue
-			}
-			if a := d.takeArmed(CrashAtSettle); a != nil {
-				b.mu.Unlock()
-				d.crashWith(a.mode, nil)
-				if a.notify != nil {
-					a.notify()
-				}
-				return settled
-			}
-			if n, ok := b.settleEntryLocked(tid, i, settle); ok {
-				settled++
-				d.finishStage(tid, n, true)
-			}
-		}
-		b.mu.Unlock()
-	}
-	return settled
-}
-
-// DirtyBacklog reports whether any thread still stages an entry tagged at
-// or below maxTag whose lazy encode has not been claimed yet — dirty
-// entries awaiting their settle, plus settled entries not yet stolen by a
-// drain. While such entries exist the epoch engine must not let the
-// durable clock certify their epoch.
-func (d *Device) DirtyBacklog(maxTag uint64) bool {
-	for ti := range d.threads {
-		b := &d.threads[ti]
-		b.mu.Lock()
-		for i := range b.staged {
-			e := &b.staged[i]
-			if e.tag != 0 && e.tag <= maxTag {
-				b.mu.Unlock()
-				return true
-			}
-		}
-		b.mu.Unlock()
-	}
-	return false
-}
-
 // commitBatch applies a batch of staged writes to the media, skipping any
 // write superseded by a newer committed write to the same block. It
 // returns the batch's byte count. Entries touch only their own block's
@@ -611,70 +379,59 @@ func (d *Device) commitBatch(batch []stagedWrite) uint64 {
 }
 
 // Fence commits all writes staged by tid to the durable arena, charging
-// the fence cost. After Fence returns, those writes survive Crash. Dirty
-// entries (a pending lazy encode) are not committed — their staged bytes
-// are stale; they wait for their settle.
+// the fence cost. After Fence returns, those writes survive Crash.
+//
+// The steal and the commit happen under the buffer lock, so the batch is
+// never in flight where a concurrent Drain cannot see it: Drain either
+// takes the batch itself or waits on this buffer until the commit is
+// done. An epoch advance relies on that — its Drain must cover the
+// write-backs of a worker that is fencing its own previous-epoch payloads
+// (the sync-helping path) at the same moment, or the durable clock could
+// certify an epoch one of whose payloads a crash can still lose.
 func (d *Device) Fence(tid int) {
-	b := d.buf(tid)
-	b.mu.Lock()
-	batch, writes, _ := b.stealCleanLocked()
-	b.mu.Unlock()
 	if a := d.takeArmed(CrashAtFence); a != nil {
-		// The power failed between this fence's steal of its staged batch
-		// and the commit. The batch is part of the crash's staged
-		// population (sampling-eligible under CrashPartial) but must never
-		// be committed here.
-		d.crashWith(a.mode, batch)
-		if len(batch) > 0 {
-			b.mu.Lock()
-			b.recycleLocked(batch)
-			b.mu.Unlock()
-		}
+		// The power failed inside this fence, before anything committed:
+		// the writes it was about to commit are still in the buffer, part
+		// of the crash's staged population (sampling-eligible under
+		// CrashPartial).
+		d.Crash(a.mode)
 		if a.notify != nil {
 			a.notify()
 		}
 		return
 	}
+	b := d.buf(tid)
+	b.mu.Lock()
+	batch, writes := b.stealLocked()
+	n := uint64(len(batch))
 	var bytes uint64
-	if len(batch) > 0 {
+	if n > 0 {
 		bytes = d.commitBatch(batch)
+		b.recycleLocked(batch)
 	}
+	b.mu.Unlock()
 	d.clk.ChargeFence(tid)
 	if rec := d.stats.Get(); rec != nil {
 		rec.Inc(tid, obs.CFences)
-		rec.Observe(tid, obs.HFenceBatch, uint64(len(batch)))
-		if len(batch) > 0 {
-			rec.Observe(tid, obs.HCombineRatio, writes*100/uint64(len(batch)))
-			rec.Add(tid, obs.CCommits, uint64(len(batch)))
+		rec.Observe(tid, obs.HFenceBatch, n)
+		if n > 0 {
+			rec.Observe(tid, obs.HCombineRatio, writes*100/n)
+			rec.Add(tid, obs.CCommits, n)
 			rec.Add(tid, obs.CCommitBytes, bytes)
 		}
-	}
-	if len(batch) > 0 {
-		b.mu.Lock()
-		b.recycleLocked(batch)
-		b.mu.Unlock()
 	}
 }
 
 // stealAllLocked detaches every thread's staged batch into the device
-// scratch, in global sequence order. cleanOnly leaves dirty entries
-// (pending lazy encodes, whose staged bytes are stale) in their buffers;
-// the crash paths pass false because a crash samples the staged
-// population but never commits it. The caller holds d.drainMu and is
+// scratch, in global sequence order. The caller holds d.drainMu and is
 // responsible for recycling via recycleAllLocked.
-func (d *Device) stealAllLocked(cleanOnly bool) (all []stagedWrite, writes uint64) {
+func (d *Device) stealAllLocked() (all []stagedWrite, writes uint64) {
 	all = d.drainAll[:0]
 	d.drainBatches = d.drainBatches[:0]
 	for i := range d.threads {
 		b := &d.threads[i]
 		b.mu.Lock()
-		var batch []stagedWrite
-		var w uint64
-		if cleanOnly {
-			batch, w, _ = b.stealCleanLocked()
-		} else {
-			batch, w = b.stealLocked()
-		}
+		batch, w := b.stealLocked()
 		b.mu.Unlock()
 		if len(batch) > 0 {
 			all = append(all, batch...)
@@ -733,7 +490,7 @@ func (d *Device) drainParallelism(n int) int {
 // partition boundaries need no alignment.
 func (d *Device) Drain(tid int) {
 	d.drainMu.Lock()
-	all, writes := d.stealAllLocked(true)
+	all, writes := d.stealAllLocked()
 	if a := d.takeArmed(CrashAtDrain); a != nil {
 		// Crash between the drain's whole-device steal and its commits:
 		// the stolen batch is exactly the staged population at the crash
@@ -741,7 +498,7 @@ func (d *Device) Drain(tid int) {
 		// uncommitted block is not fenced, and handing it to the media
 		// would show recovery state the device never persisted (see
 		// TestDrainStealNotFenced).
-		d.failLocked(a.mode, all, nil)
+		d.failLocked(a.mode, all)
 		if len(all) > 0 {
 			d.recycleAllLocked()
 		}
@@ -791,78 +548,6 @@ func (d *Device) Drain(tid int) {
 	}
 }
 
-// DrainShared commits every thread's staged writes, like Drain, but is
-// safe for concurrent helpers: instead of one drainMu-serialized
-// whole-device steal, each thread's batch is claimed individually under
-// that thread's buffer lock and committed before the next claim. Two
-// racing helpers therefore never double-commit a staged block (a block is
-// in exactly one stolen batch) and never drop one (an unclaimed block
-// stays staged for the next claimer); per-block ordering across helpers
-// is preserved by the stripes' newest-wins sequence check, exactly as for
-// parallel drain workers. This is the nonblocking epoch engine's persist
-// step: the daemon, a Sync caller, and an epoch-wait helper can all drain
-// at once without serializing behind drainMu or each other.
-func (d *Device) DrainShared(tid int) {
-	if d.failed.Load() {
-		return
-	}
-	rec := d.stats.Get()
-	var total, bytes, writes uint64
-	for i := range d.threads {
-		b := &d.threads[i]
-		b.mu.Lock()
-		batch, w, dirtyLeft := b.stealCleanLocked()
-		b.mu.Unlock()
-		if dirtyLeft > 0 && rec != nil {
-			// Un-settled dirty entries are left for their owner (or the
-			// advance sweep): only the owner may serialize its block, so a
-			// helper's claim cannot run the encode itself.
-			rec.Add(tid, obs.CClaimSkippedDirty, uint64(dirtyLeft))
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		if a := d.takeArmed(CrashAtClaim); a != nil {
-			// The power failed between this helper's claim of one
-			// thread's staged batch and its commit. The claimed batch is
-			// part of the crash's staged population (sampling-eligible
-			// under CrashPartial) but must never be committed here —
-			// same rule as a crash inside Fence or Drain. Batches this
-			// helper committed on earlier iterations persisted before
-			// the failure, which is always safe: committing a staged
-			// write early only exposes data that recovery's epoch cutoff
-			// filters.
-			d.crashWith(a.mode, batch)
-			b.mu.Lock()
-			b.recycleLocked(batch)
-			b.mu.Unlock()
-			if a.notify != nil {
-				a.notify()
-			}
-			return
-		}
-		bytes += d.commitBatch(batch)
-		total += uint64(len(batch))
-		writes += w
-		b.mu.Lock()
-		b.recycleLocked(batch)
-		b.mu.Unlock()
-		if rec != nil {
-			rec.Inc(tid, obs.CDrainClaims)
-		}
-	}
-	d.clk.ChargeFenceAll(tid)
-	if rec != nil {
-		rec.Inc(tid, obs.CDrains)
-		rec.Observe(tid, obs.HDrainBatch, total)
-		if total > 0 {
-			rec.Observe(tid, obs.HCombineRatio, writes*100/total)
-			rec.Add(tid, obs.CCommits, total)
-			rec.Add(tid, obs.CCommitBytes, bytes)
-		}
-	}
-}
-
 // PendingWrites returns the number of staged (not yet fenced) blocks for
 // tid. Coalesced write-backs count once. Intended for tests.
 func (d *Device) PendingWrites(tid int) int {
@@ -902,7 +587,7 @@ func (d *Device) WriteDurable(addr Addr, data []byte) error {
 	if a := d.takeArmed(CrashAtDurable); a != nil {
 		// Crash at the head of a direct durable write (mid-formatting or
 		// mid-recovery-sweep): the write itself is lost with the machine.
-		d.crashWith(a.mode, nil)
+		d.Crash(a.mode)
 		if a.notify != nil {
 			a.notify()
 		}
@@ -962,17 +647,9 @@ func (d *Device) SeedCrashRNG(seed int64) {
 // buffer; the caller must quiesce workers before recovery, as a real
 // restart does.
 func (d *Device) Crash(mode CrashMode) {
-	d.crashWith(mode, nil)
-}
-
-// crashWith runs a full crash while the caller may itself be holding a
-// stolen-but-uncommitted batch (extra): the batch joins the staged
-// population for fate sampling but is never committed by the caller. The
-// caller must not hold drainMu.
-func (d *Device) crashWith(mode CrashMode, extra []stagedWrite) {
 	d.drainMu.Lock()
-	all, _ := d.stealAllLocked(false)
-	d.failLocked(mode, all, extra)
+	all, _ := d.stealAllLocked()
+	d.failLocked(mode, all)
 	if len(all) > 0 {
 		d.recycleAllLocked()
 	}
@@ -980,16 +657,10 @@ func (d *Device) crashWith(mode CrashMode, extra []stagedWrite) {
 }
 
 // failLocked is the crash core: it fail-stops the device, publishes the
-// crash floor, and resolves the fate of the staged population (staged in
-// global seq order, plus the caller-owned extra). The caller holds
-// d.drainMu and is responsible for recycling both slices afterward.
-func (d *Device) failLocked(mode CrashMode, staged, extra []stagedWrite) {
-	all := staged
-	if len(extra) > 0 {
-		all = make([]stagedWrite, 0, len(staged)+len(extra))
-		all = append(append(all, staged...), extra...)
-		slices.SortFunc(all, func(a, b stagedWrite) int { return cmp.Compare(a.seq, b.seq) })
-	}
+// crash floor, and resolves the fate of the staged population (all, in
+// global seq order). The caller holds d.drainMu and is responsible for
+// recycling the slice afterward.
+func (d *Device) failLocked(mode CrashMode, all []stagedWrite) {
 	var kept, keptBytes, lost, lostBytes uint64
 	d.rngMu.Lock()
 	d.arenaMu.Lock()
@@ -1048,9 +719,9 @@ func (d *Device) Failed() bool { return d.failed.Load() }
 type CrashPoint int
 
 const (
-	// CrashAtFence fires inside a Fence, after it has stolen the calling
-	// thread's staged batch but before any of it commits; the stolen batch
-	// dies with the crash (it is part of the sampled staged population).
+	// CrashAtFence fires inside a Fence before any of the calling thread's
+	// staged batch commits; the batch dies with the crash (it is part of
+	// the sampled staged population).
 	CrashAtFence CrashPoint = iota
 	// CrashAtDrain fires inside a Drain, after the whole-device steal but
 	// before any commit.
@@ -1058,18 +729,6 @@ const (
 	// CrashAtDurable fires at the head of a WriteDurable, before the
 	// bypass write lands — a crash mid-formatting or mid-recovery-sweep.
 	CrashAtDurable
-	// CrashAtClaim fires inside a DrainShared, after a helper has claimed
-	// one thread's staged batch but before any of it commits; the claimed
-	// batch dies with the crash. The skip count selects which claim (and
-	// with racing helpers, whose claim) the crash lands on.
-	CrashAtClaim
-	// CrashAtSettle fires inside SettleOwn or SettleAll, after a dirty
-	// entry has been selected for its deferred encode but before the
-	// encode runs: the window between a dirty mark and its lazy persist.
-	// The marked update dies with the crash (its stale staged image is
-	// part of the sampled population); the skip count selects which settle
-	// the crash lands on.
-	CrashAtSettle
 )
 
 // String names the crash point for schedule logs.
@@ -1081,10 +740,6 @@ func (p CrashPoint) String() string {
 		return "drain"
 	case CrashAtDurable:
 		return "durable"
-	case CrashAtClaim:
-		return "claim"
-	case CrashAtSettle:
-		return "settle"
 	}
 	return fmt.Sprintf("point(%d)", int(p))
 }

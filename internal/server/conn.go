@@ -142,6 +142,7 @@ func (c *conn) runBlocking() {
 // the response queue is full.
 func (c *conn) readLoop() {
 	rec := c.srv.rec
+	var ierr error
 	for {
 		c.wmu.Lock()
 		for c.qlen >= pipelineCap && !c.dead && !c.closing {
@@ -152,17 +153,26 @@ func (c *conn) readLoop() {
 		if stop {
 			return
 		}
-		c.ensureSpare(readChunk)
-		n, err := c.nc.Read(c.in[len(c.in):cap(c.in)])
-		if n > 0 {
-			rec.Add(c.rtid, obs.CNetBytesIn, uint64(n))
-			c.in = c.in[:len(c.in)+n]
+		var n int
+		var err error
+		if ierr != errThrottle {
+			c.ensureSpare(readChunk)
+			n, err = c.nc.Read(c.in[len(c.in):cap(c.in)])
+			if n > 0 {
+				rec.Add(c.rtid, obs.CNetBytesIn, uint64(n))
+				c.in = c.in[:len(c.in)+n]
+			}
+		}
+		// A throttled ingest left complete commands buffered: run them
+		// before touching the socket again, or a client that has already
+		// sent everything is never answered (pumpOnce does the same).
+		if n > 0 || ierr == errThrottle {
 			tid := c.tid
 			borrowed := tid < 0
 			if borrowed {
 				tid = <-c.srv.tids
 			}
-			ierr := c.ingest(tid)
+			ierr = c.ingest(tid)
 			if borrowed {
 				c.srv.tids <- tid
 			}
@@ -787,11 +797,6 @@ func (c *conn) statsBody(r *rt, tid int) []byte {
 	put("version", "montage/0.2")
 	put("backend", c.srv.cfg.Backend)
 	put("durability", c.mode.String())
-	if c.srv.cfg.BlockingAdvance {
-		put("epoch_engine", "blocking")
-	} else {
-		put("epoch_engine", "nonblocking")
-	}
 	st := r.store.Stats()
 	put("get_hits", st.Hits.Load())
 	put("get_misses", st.Misses.Load())

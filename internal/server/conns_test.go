@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -234,4 +235,49 @@ func TestGoroutineCountBounded(t *testing.T) {
 	if grew > 64 {
 		t.Fatalf("%d idle conns grew goroutines by %d (want O(cores), ≤64)", conns, grew)
 	}
+}
+
+// TestThrottleStall pins the blocking driver's resume after a throttle:
+// a client pipelines more than pipelineCap commands in one burst and then
+// only reads. The commands left buffered when ingest throttled must run
+// once the queue drains, without waiting for socket input that will
+// never come.
+func TestThrottleStall(t *testing.T) {
+	srv := newTestServer(t, Config{})
+	cl, sv := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.serveConn(sv, 0)
+	}()
+	const n = pipelineCap + 40
+	var req bytes.Buffer
+	for i := 0; i < n; i++ {
+		req.WriteString("get k\r\n")
+	}
+	go cl.Write(req.Bytes())
+	br := bufio.NewReader(cl)
+	got := 0
+	errc := make(chan error, 1)
+	go func() {
+		for got < n {
+			_, err := br.ReadString('\n')
+			if err != nil {
+				errc <- err
+				return
+			}
+			got++
+		}
+		errc <- nil
+	}()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("read error after %d responses: %v", got, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("stalled: got %d of %d responses", got, n)
+	}
+	cl.Close()
+	<-done
 }

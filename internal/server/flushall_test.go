@@ -57,6 +57,20 @@ func TestFlushAllEpochWaitAllShards(t *testing.T) {
 	c.expect("OK")
 	c.send("flush_all\r\n")
 
+	// The send returns once the server has read the line, not once it has
+	// run it: watch from a second connection until every key is gone, so
+	// the advances below cannot land before the flush takes its tags.
+	c2 := dialPipe(t, s, 1)
+	for _, k := range keys {
+		for {
+			c2.send("get %s\r\n", k)
+			if c2.line() == "END" {
+				break
+			}
+			c2.expect("vv", "END")
+		}
+	}
+
 	// Persisting only shard 0's epoch must NOT release the ack: the
 	// flush deleted keys on every shard.
 	for i := 0; i < 3; i++ {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -88,30 +87,4 @@ func TestParkingLotCrashAborts(t *testing.T) {
 	c2.send("crash\r\n")
 	c2.expect("OK")
 	c.expect("SERVER_ERROR crash: write may not be durable")
-}
-
-// TestEngineStatExposed pins the epoch_engine stat for both engines.
-func TestEngineStatExposed(t *testing.T) {
-	for _, tc := range []struct {
-		blocking bool
-		want     string
-	}{{false, "nonblocking"}, {true, "blocking"}} {
-		s := newTestServer(t, Config{BlockingAdvance: tc.blocking})
-		c := dialPipe(t, s, 0)
-		c.send("stats\r\n")
-		found := false
-		for {
-			line := c.line()
-			if line == "END" {
-				break
-			}
-			if line == fmt.Sprintf("STAT epoch_engine %s", tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("stats missing 'STAT epoch_engine %s'", tc.want)
-		}
-		c.send("quit\r\n")
-	}
 }

@@ -131,10 +131,6 @@ type Config struct {
 	// DrainWorkers fixes each shard's epoch-boundary drain parallelism
 	// (0: automatic; 1: serial). See core.Config.DrainWorkers.
 	DrainWorkers int
-	// BlockingAdvance selects the blocking (lock-serialized, quiescence-
-	// waiting) epoch engine instead of the default nonblocking one. See
-	// epoch.Config.BlockingAdvance.
-	BlockingAdvance bool
 	// AllowCrash enables the "crash" protocol extension.
 	AllowCrash bool
 	// Recorder, when non-nil, receives the server's counters; when nil
@@ -195,9 +191,8 @@ func (c Config) coreConfig() core.Config {
 		ArenaSize:  c.ArenaSize,
 		MaxThreads: c.maxThreads(),
 		Epoch: epoch.Config{
-			EpochLength:     c.EpochLength,
-			PersistDelay:    c.PersistDelay,
-			BlockingAdvance: c.BlockingAdvance,
+			EpochLength:  c.EpochLength,
+			PersistDelay: c.PersistDelay,
 		},
 		DrainWorkers: c.DrainWorkers,
 		Recorder:     c.Recorder,
