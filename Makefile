@@ -20,18 +20,24 @@ test: vet serve-smoke
 # library-level durability regression fails only intermittently when it
 # fails at all, so it gets five extra runs. The server's TestAllocs* gates
 # are skipped: under the race detector sync.Pool drops items at random,
-# so "0 allocs/op" cannot hold; conns-smoke runs them without -race.
+# so "0 allocs/op" cannot hold; conns-smoke runs them without -race. The
+# reactor's window tests (an ack settling under a running pump, throttle
+# park/resume, a slow reader under the lot subscriber, a hang-up behind
+# data) get ten extra runs.
 race:
 	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/cluster ./internal/chaos
 	$(GO) test -race -count 5 -run TestHashMapMixedSyncCrashRecover ./internal/pds
+	$(GO) test -race -count 10 -run 'TestAckSettlesUnderRunningPump|TestThrottleStallReactor|TestSlowReaderDoesNotHoldTheLot|TestHangUpBehindDataClosesConn' ./internal/server
 
 vet: lint-dead
 	$(GO) vet ./...
 
-# The nonblocking epoch engine and its lazy-persist layer were deleted;
-# fail if any of their entry points reappears in Go source.
+# The nonblocking epoch engine and its lazy-persist layer were deleted,
+# and so were the server's pump-pool and flush-pool hand-offs; fail if
+# any of their entry points reappears in Go source.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
+	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,
@@ -40,8 +46,9 @@ serve-smoke:
 	sh scripts/serve-smoke.sh
 
 # Connection-scale smoke: a 1k-connection burst against a loopback
-# montage-serve instance (exercising the ramped dialer, the flusher
-# pool, and the capped recorder), plus the steady-state allocation gate
+# montage-serve instance (exercising the ramped dialer, the reactor's
+# surplus hand-off, and the capped recorder), plus the steady-state
+# allocation gate
 # — the parse/serve benchmarks must report 0 allocs/op, and the
 # AllocsPerRun tests pin it hard.
 conns-smoke:
@@ -79,9 +86,9 @@ bench:
 	$(GO) run ./cmd/montage-bench -figure 6 -scale quick -stats-file stats_quick.json
 
 # One-iteration pass over the hot-path microbenchmarks (device
-# write-back/fence/drain, allocator size-class lookup): catches
-# benchmark-code rot and accidental allocation regressions without
-# measuring anything.
+# write-back/fence/drain, the one-block fence after a bulk batch,
+# allocator size-class lookup): catches benchmark-code rot and
+# accidental allocation regressions without measuring anything.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/pmem ./internal/ralloc
 

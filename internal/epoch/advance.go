@@ -106,10 +106,12 @@ func (s *Sys) advanceLocked(chargeTid int) {
 	s.advances.Add(1)
 	// Persist tick: epoch curr-1 just became durable. Wake every
 	// PersistTick/WaitPersisted subscriber by closing the broadcast
-	// channel and installing a fresh one.
+	// channel, if anyone took it; the next subscriber makes the next one.
 	s.persistMu.Lock()
-	close(s.persistCh)
-	s.persistCh = make(chan struct{})
+	if s.persistCh != nil {
+		close(s.persistCh)
+		s.persistCh = nil
+	}
 	s.persistMu.Unlock()
 	rec.Inc(chargeTid, obs.CEpochAdvances)
 	rec.ObserveSince(chargeTid, obs.HAdvanceNs, advStart)

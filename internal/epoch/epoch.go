@@ -194,8 +194,11 @@ type Sys struct {
 	advances   atomic.Uint64 // statistics: completed epoch advances
 	stats      obs.Holder
 
-	// persistCh is closed and replaced on every persist tick (epoch
-	// advance), broadcasting to PersistedEpoch watchers without polling.
+	// persistCh broadcasts the next persist tick (epoch advance) to
+	// PersistedEpoch watchers without polling. It exists only while a
+	// subscriber holds it: PersistTick makes it, the next advance closes
+	// and drops it, so an advance nobody watches (every sync- or
+	// buffered-acked write) allocates nothing.
 	persistMu sync.Mutex
 	persistCh chan struct{}
 
@@ -235,7 +238,6 @@ func NewAt(heap *ralloc.Heap, cfg Config, start uint64) *Sys {
 		threads: make([]threadState, cfg.MaxThreads),
 		mind:    mindicator.New(cfg.MaxThreads),
 	}
-	s.persistCh = make(chan struct{})
 	s.down = make(chan struct{})
 	// Inherit any recorder already attached to the device so the
 	// background daemon is instrumented from its first tick.
@@ -306,6 +308,9 @@ func (s *Sys) PersistedEpoch() uint64 {
 // The channel carries no data — after it fires, consult PersistedEpoch.
 func (s *Sys) PersistTick() <-chan struct{} {
 	s.persistMu.Lock()
+	if s.persistCh == nil {
+		s.persistCh = make(chan struct{})
+	}
 	ch := s.persistCh
 	s.persistMu.Unlock()
 	return ch

@@ -163,3 +163,41 @@ func TestAbandonStopsDaemon(t *testing.T) {
 		t.Fatalf("clock moved %d -> %d after Abandon", before, after)
 	}
 }
+
+// TestAdvanceWithoutSubscriberZeroAllocs pins the lazily made tick
+// channel: an advance nobody watches (every sync- and buffered-acked
+// write's) allocates nothing.
+func TestAdvanceWithoutSubscriberZeroAllocs(t *testing.T) {
+	f := newFixture(t, Config{})
+	s := f.sys
+	for i := 0; i < 3; i++ { // warm the device's staging pool
+		s.Advance()
+	}
+	if n := testing.AllocsPerRun(100, s.Advance); n != 0 {
+		t.Fatalf("Advance with no tick subscriber allocates %.1f/op, want 0", n)
+	}
+}
+
+// TestPersistTickArmedBetweenAdvances checks the other half: a
+// subscriber that takes the channel after an unwatched advance is woken
+// by the very next advance, not the one after.
+func TestPersistTickArmedBetweenAdvances(t *testing.T) {
+	f := newFixture(t, Config{})
+	s := f.sys
+	s.Advance() // unwatched: leaves no channel behind
+	ch := s.PersistTick()
+	select {
+	case <-ch:
+		t.Fatal("tick channel taken after an advance is already closed")
+	default:
+	}
+	if again := s.PersistTick(); again != ch {
+		t.Fatal("two subscribers of one tick got different channels")
+	}
+	s.Advance()
+	select {
+	case <-ch:
+	default:
+		t.Fatal("the advance after PersistTick did not close its channel")
+	}
+}

@@ -82,7 +82,7 @@ func (b *MontageBackend) GetView(tid int, key string, v RawViewer) bool {
 
 // Put implements Backend.
 func (b *MontageBackend) Put(tid int, key string, val []byte) (DurabilityTag, error) {
-	_, epoch, err := b.m.PutE(tid, key, val)
+	epoch, err := b.m.PutE(tid, key, val)
 	return DurabilityTag{Epoch: epoch}, err
 }
 

@@ -274,3 +274,34 @@ func TestStoreNegativeTTLFrozenClock(t *testing.T) {
 		t.Fatal("item touched to negative TTL still served")
 	}
 }
+
+// TestAllocsPerSetMontage pins the serving set path's allocation count.
+// Every measured set replaces a payload from an older epoch — the
+// copying path, as under uniform keys — which costs the new payload
+// block and its data; the pair's encoding goes through per-thread
+// scratch and the replaced value is never materialised. Three leaves
+// room for the amortised growth of the epoch's containers.
+func TestAllocsPerSetMontage(t *testing.T) {
+	s, sys := newMontageStore(t, 0)
+	const runs = 200
+	keys := make([]string, runs+1) // AllocsPerRun adds a warm-up call
+	val := bytes.Repeat([]byte{'v'}, 104)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%012d", i)
+		if _, err := s.SetTag(0, keys[i], val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sys.Advance()
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := s.SetTag(0, keys[i], val, 0); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 3 {
+		t.Fatalf("montage set allocates %.1f objects/op, want <= 3", allocs)
+	}
+	t.Logf("montage set: %.2f allocs/op", allocs)
+}

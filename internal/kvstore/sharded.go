@@ -45,7 +45,7 @@ func (b *ShardedBackend) GetView(tid int, key string, v RawViewer) bool {
 // Put implements Backend.
 func (b *ShardedBackend) Put(tid int, key string, val []byte) (DurabilityTag, error) {
 	shard := b.p.ShardFor(key)
-	_, epoch, err := b.maps[shard].PutE(tid, key, val)
+	epoch, err := b.maps[shard].PutE(tid, key, val)
 	return DurabilityTag{Shard: shard, Epoch: epoch}, err
 }
 

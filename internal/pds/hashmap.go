@@ -18,6 +18,10 @@ type HashMap struct {
 	tag     uint16
 	buckets []bucket
 	mask    uint64
+	// enc is per-thread scratch for the encoded pair: core copies payload
+	// data on PNew and Set, so the encoding only has to outlive the call,
+	// and a thread id has one owner at a time.
+	enc [][]byte
 }
 
 type bucket struct {
@@ -47,7 +51,16 @@ func NewHashMapTagged(sys *core.System, nBuckets int, tag uint16) *HashMap {
 	for n < nBuckets {
 		n *= 2
 	}
-	return &HashMap{sys: sys, tag: tag, buckets: make([]bucket, n), mask: uint64(n - 1)}
+	return &HashMap{
+		sys: sys, tag: tag, buckets: make([]bucket, n), mask: uint64(n - 1),
+		enc: make([][]byte, sys.Epochs().Config().MaxThreads),
+	}
+}
+
+// encode is encodeKV into tid's scratch, valid until tid's next call.
+func (m *HashMap) encode(tid int, key string, val []byte) []byte {
+	m.enc[tid] = encodeKVInto(m.enc[tid], key, val)
+	return m.enc[tid]
 }
 
 // RecoverHashMap rebuilds a map from the payloads of a recovered system.
@@ -164,64 +177,72 @@ func (m *HashMap) GetView(tid int, key string, v Viewer) bool {
 // Put inserts key=val, or updates the value if the key exists, returning
 // the previous value if any.
 func (m *HashMap) Put(tid int, key string, val []byte) (prev []byte, err error) {
-	prev, _, err = m.PutE(tid, key, val)
+	prev, _, err = m.put(tid, key, val, true)
 	return prev, err
 }
 
-// PutE is Put, additionally returning the epoch in which the update
-// linearized — the tag a caller needs to wait for the write's natural
-// durability (epoch.Sys.WaitPersisted). The operation begins after the
-// bucket lock is acquired (as in Figure 2), which guarantees the
-// old-see-new exception cannot arise: every payload in the bucket was
-// created by an operation that held the lock earlier and therefore in an
-// epoch no newer than ours.
-func (m *HashMap) PutE(tid int, key string, val []byte) (prev []byte, epoch uint64, err error) {
+// PutE is Put for callers that have no use for the previous value (so it
+// is neither read nor copied), returning instead the epoch in which the
+// update linearized — the tag a caller needs to wait for the write's
+// natural durability (epoch.Sys.WaitPersisted).
+func (m *HashMap) PutE(tid int, key string, val []byte) (epoch uint64, err error) {
+	_, epoch, err = m.put(tid, key, val, false)
+	return epoch, err
+}
+
+// put is the upsert behind Put and PutE; prev is a copy of the value it
+// replaced, if wantPrev. The operation begins after the bucket lock
+// is acquired (as in Figure 2), which guarantees the old-see-new
+// exception cannot arise: every payload in the bucket was created by an
+// operation that held the lock earlier and therefore in an epoch no
+// newer than ours.
+func (m *HashMap) put(tid int, key string, val []byte, wantPrev bool) (prev []byte, epoch uint64, err error) {
 	clk := m.sys.Clock()
 	clk.ChargeOp(tid)
 	b := m.bucketFor(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	err = m.sys.DoOp(tid, func(op core.Op) error {
-		epoch = op.Epoch()
-		var prevNode *mapNode
-		curr := b.head
-		for curr != nil && curr.key < key {
-			clk.ChargeDRAM(tid, 16)
-			prevNode, curr = curr, curr.next
-		}
-		if curr != nil && curr.key == key {
+	op := m.sys.BeginOp(tid)
+	defer m.sys.EndOp(tid)
+	epoch = op.Epoch()
+	var prevNode *mapNode
+	curr := b.head
+	for curr != nil && curr.key < key {
+		clk.ChargeDRAM(tid, 16)
+		prevNode, curr = curr, curr.next
+	}
+	if curr != nil && curr.key == key {
+		if wantPrev {
 			data, gerr := op.Get(curr.payload)
 			if gerr != nil {
-				return gerr
+				return nil, epoch, gerr
 			}
 			_, v, ok := decodeKV(data)
 			if !ok {
-				return ErrCorruptPayload
+				return nil, epoch, ErrCorruptPayload
 			}
 			prev = append([]byte(nil), v...)
-			np, serr := op.Set(curr.payload, encodeKV(key, val))
-			if serr != nil {
-				return serr
-			}
-			curr.payload = np // rewrite the (single) pointer to the payload
-			return nil
 		}
-		p, perr := op.PNewTagged(m.tag, encodeKV(key, val))
-		if perr != nil {
-			return perr
+		np, serr := op.Set(curr.payload, m.encode(tid, key, val))
+		if serr != nil {
+			return nil, epoch, serr
 		}
-		// Clone: the index node retains the key, and callers (the server's
-		// zero-alloc parse path) may pass a string borrowing a reused
-		// buffer.
-		n := &mapNode{key: strings.Clone(key), payload: p, next: curr}
-		if prevNode == nil {
-			b.head = n
-		} else {
-			prevNode.next = n
-		}
-		return nil
-	})
-	return prev, epoch, err
+		curr.payload = np // rewrite the (single) pointer to the payload
+		return prev, epoch, nil
+	}
+	p, perr := op.PNewTagged(m.tag, m.encode(tid, key, val))
+	if perr != nil {
+		return nil, epoch, perr
+	}
+	// Clone: the index node retains the key, and callers (the server's
+	// zero-alloc parse path) may pass a string borrowing a reused buffer.
+	n := &mapNode{key: strings.Clone(key), payload: p, next: curr}
+	if prevNode == nil {
+		b.head = n
+	} else {
+		prevNode.next = n
+	}
+	return nil, epoch, nil
 }
 
 // Insert adds key=val only if the key is absent; it reports whether it
@@ -243,7 +264,7 @@ func (m *HashMap) Insert(tid int, key string, val []byte) (inserted bool, err er
 		if curr != nil && curr.key == key {
 			return nil // present: no-op
 		}
-		p, perr := op.PNewTagged(m.tag, encodeKV(key, val))
+		p, perr := op.PNewTagged(m.tag, m.encode(tid, key, val))
 		if perr != nil {
 			return perr
 		}

@@ -34,8 +34,15 @@ const (
 
 // encodeKV serializes a key-value pair into one payload data section:
 // a 4-byte key length, the key, then the value.
-func encodeKV(key string, val []byte) []byte {
-	buf := make([]byte, 4+len(key)+len(val))
+func encodeKV(key string, val []byte) []byte { return encodeKVInto(nil, key, val) }
+
+// encodeKVInto is encodeKV reusing buf's array when it is large enough.
+func encodeKVInto(buf []byte, key string, val []byte) []byte {
+	n := 4 + len(key) + len(val)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	binary.LittleEndian.PutUint32(buf, uint32(len(key)))
 	copy(buf[4:], key)
 	copy(buf[4+len(key):], val)

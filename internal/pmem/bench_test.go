@@ -88,3 +88,51 @@ func BenchmarkDrain(b *testing.B) {
 		d.Drain(simclock.DaemonTID)
 	}
 }
+
+// bulkBlocks is the size of the one large batch the post-bulk benchmark
+// and test put behind them (a 100 k-key preload's worth).
+const bulkBlocks = 100000
+
+// fenceBulk stages and fences one bulkBlocks-entry batch on thread 0.
+func fenceBulk(tb testing.TB, d *Device) {
+	var word [8]byte
+	for i := 0; i < bulkBlocks; i++ {
+		if err := d.WriteBack(0, Addr(4096+64*i), word[:]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	d.Fence(0)
+}
+
+// oneBlockCycle is what an epoch advance does to persist its clock: one
+// 8-byte write-back and a fence.
+func oneBlockCycle(tb testing.TB, d *Device) {
+	var word [8]byte
+	if err := d.WriteBack(0, 64, word[:]); err != nil {
+		tb.Fatal(err)
+	}
+	d.Fence(0)
+}
+
+// BenchmarkFenceAfterBulk measures the one-block WriteBack+Fence cycle
+// on a fresh device and on one whose staging index once held a bulk
+// batch; the two must cost the same (TestFenceCostForgetsBulkBatch).
+func BenchmarkFenceAfterBulk(b *testing.B) {
+	for _, bulk := range []bool{false, true} {
+		name := "fresh"
+		if bulk {
+			name = "after-bulk"
+		}
+		b.Run(name, func(b *testing.B) {
+			d := NewDevice(8<<20, 1, nil)
+			if bulk {
+				fenceBulk(b, d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				oneBlockCycle(b, d)
+			}
+		})
+	}
+}

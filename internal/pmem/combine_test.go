@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"montage/internal/simclock"
 )
@@ -255,5 +256,36 @@ func TestConcurrentCombiningWithCrashingDaemon(t *testing.T) {
 				t.Fatalf("block %d torn: byte 0 = %#x, byte %d = %#x", a, got[0], j, got[j])
 			}
 		}
+	}
+}
+
+// TestFenceCostForgetsBulkBatch pins the O(staged) steal: once a
+// 100 k-entry batch has been fenced, a one-block WriteBack+Fence must
+// cost within 2x of the same cycle on a fresh device. With a steal that
+// clears the whole staging index the ratio is in the hundreds.
+func TestFenceCostForgetsBulkBatch(t *testing.T) {
+	fresh := NewDevice(8<<20, 1, nil)
+	bulk := NewDevice(8<<20, 1, nil)
+	fenceBulk(t, bulk)
+	// Best of several short trials per device, interleaved, so that a
+	// scheduling hiccup lands on neither side's figure.
+	best := func(d *Device, prev time.Duration) time.Duration {
+		const cycles = 2000
+		t0 := time.Now()
+		for i := 0; i < cycles; i++ {
+			oneBlockCycle(t, d)
+		}
+		if el := time.Since(t0); prev == 0 || el < prev {
+			return el
+		}
+		return prev
+	}
+	var tf, tb time.Duration
+	for trial := 0; trial < 7; trial++ {
+		tf = best(fresh, tf)
+		tb = best(bulk, tb)
+	}
+	if tb > 2*tf {
+		t.Fatalf("one-block fence after a bulk batch: %v per 2000 cycles, fresh device %v (want within 2x)", tb, tf)
 	}
 }

@@ -68,7 +68,15 @@ type threadBuf struct {
 	pool     [][]byte     // recycled staging copies
 	inactive []stagedWrite
 	absorbed uint64 // write-backs coalesced into an existing entry since the last steal
+	// indexHigh is the largest batch index has ever held: a Go map keeps
+	// the capacity of its high-water mark, and clear pays for all of it.
+	indexHigh int
 }
+
+// clearShare is the share of the index's high-water mark below which a
+// steal deletes its own keys instead of clearing the table: clear is a
+// few ns per slot of capacity, delete a few tens of ns per key.
+const clearShare = 8
 
 // stageLocked returns a staging buffer of n bytes for addr, coalescing
 // with an existing staged entry for the same block (newest wins, at block
@@ -129,7 +137,19 @@ func (b *threadBuf) stealLocked() ([]stagedWrite, uint64) {
 	batch := b.staged
 	b.staged = b.inactive[:0]
 	b.inactive = nil
-	clear(b.index)
+	// Reset in O(staged), not O(high-water): after one bulk batch (a
+	// preload), clear alone would charge every later one-block fence for
+	// the bulk batch's table.
+	if len(batch) > b.indexHigh {
+		b.indexHigh = len(batch)
+	}
+	if len(batch) < b.indexHigh/clearShare {
+		for i := range batch {
+			delete(b.index, batch[i].addr)
+		}
+	} else {
+		clear(b.index)
+	}
 	writes := b.absorbed + uint64(len(batch))
 	b.absorbed = 0
 	return batch, writes

@@ -47,11 +47,12 @@ const (
 // conn is one client connection. One goroutine at a time ingests input
 // (the blocking read loop, or a reactor pump on an epoll readable
 // edge), parses commands in place with the shared tokenizer, executes
-// them, and appends responses to the write queue in flush.go. There is
-// no per-connection writer goroutine: ready responses are flushed in
-// batches by the shared flusher pool (reactor connections) or a
-// fallback writer (pipes, non-Linux), and epoch-wait acks park as
-// callbacks on the shard parking lot rather than blocking anyone.
+// them, and appends responses to the write queue in flush.go. Reactor
+// connections have no writer goroutine: ready responses are flushed in
+// batches by whoever settled the queue head (the pump, the parking-lot
+// subscriber, the poller on a writable edge); pipes and non-Linux
+// connections keep a fallback writer. Epoch-wait acks park as callbacks
+// on the shard parking lot rather than blocking anyone.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
@@ -77,19 +78,20 @@ type conn struct {
 	qhead       *pending
 	qtail       *pending
 	qlen        int
-	woff        int // bytes of qhead.data already written (partial writev)
-	flushActive bool
+	woff        int  // bytes of qhead.data already written (partial writev)
+	flushActive bool // reactor: the flush claim, one goroutine in writev
 	wantWrite   bool // reactor: writev hit EAGAIN, awaiting EPOLLOUT
 	readParked  bool // reactor: pump parked on a full pipeline
 	closing     bool
 	dead        bool
 	closeDone   bool
 
-	// Reactor bookkeeping (linux TCP connections only).
+	// Reactor bookkeeping (linux TCP connections only), under wmu.
 	raw         bool
 	fd          int
-	pumpRunning bool
-	pumpAgain   bool
+	pumpRunning bool // the pump claim: one goroutine reads and ingests
+	pumpAgain   bool // a readable edge arrived while the pump ran
+	hup         bool // the peer hung up: no further edge will follow
 
 	// Flusher scratch, reused across batches.
 	iov   [][]byte

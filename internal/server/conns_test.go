@@ -122,8 +122,9 @@ func TestCrashDuringNoreplyPipeline(t *testing.T) {
 }
 
 // TestConnChurnFlusherPool churns ~1k short-lived TCP connections
-// through the reactor and shared flusher pool concurrently — the race
-// detector's view of accept/pump/flush/teardown interleavings.
+// through the reactor (poller, surplus workers, inline flushes)
+// concurrently — the race detector's view of accept/pump/flush/teardown
+// interleavings.
 func TestConnChurnFlusherPool(t *testing.T) {
 	s := newTestServer(t, Config{MaxConns: 2048, EpochLength: time.Millisecond})
 	if _, err := s.Listen(); err != nil {
@@ -229,8 +230,8 @@ func TestGoroutineCountBounded(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Budget: the flusher pool (≤8), pump workers (≤16), the poller, and
-	// slack for epoch daemons — nothing per connection.
+	// Budget: the surplus workers (≤16), the poller, and slack for epoch
+	// daemons — nothing per connection.
 	grew := runtime.NumGoroutine() - base
 	if grew > 64 {
 		t.Fatalf("%d idle conns grew goroutines by %d (want O(cores), ≤64)", conns, grew)

@@ -69,9 +69,12 @@ func releasePending(p *pending) {
 	}
 }
 
-// enqueue appends one response to the write queue and nudges the
-// flusher. Responses enqueued after death are dropped (counting the
-// abort if a durability wait was attached but never settled).
+// enqueue appends one response to the write queue. Reactor connections
+// are not flushed here: enqueue runs on the pump, which flushes once per
+// ingest pass (one writev per read batch, not per response);
+// blocking-driver connections wake their fallback writer. Responses
+// enqueued after death are dropped (counting the abort if a durability
+// wait was attached but never settled).
 func (c *conn) enqueue(p *pending) {
 	rec := c.srv.rec
 	c.wmu.Lock()
@@ -93,23 +96,10 @@ func (c *conn) enqueue(p *pending) {
 	c.qtail = p
 	c.qlen++
 	rec.Observe(c.rtid, obs.HPipelineDepth, uint64(c.qlen))
-	c.scheduleFlushLocked()
-	c.wmu.Unlock()
-}
-
-// scheduleFlushLocked arranges for the queue to be flushed if its head
-// is ready. Reactor connections are handed to the shared flusher pool;
-// blocking-driver connections wake their fallback writer. wmu held.
-func (c *conn) scheduleFlushLocked() {
 	if !c.raw {
 		c.wcond.Broadcast()
-		return
 	}
-	if c.flushActive || c.dead || c.wantWrite || c.qhead == nil || c.qhead.nwait > 0 {
-		return
-	}
-	c.flushActive = true
-	c.srv.submitFlush(c)
+	c.wmu.Unlock()
 }
 
 // ackFired settles one durability wait on p: ok=true means the epoch
@@ -120,7 +110,9 @@ func (c *conn) scheduleFlushLocked() {
 // guarded on p carrying response bytes at all: a pending that has
 // nothing to send (noreply never enqueues, so this is an invariant
 // backstop) must never gain bytes here, or the response stream would
-// desync from the request stream.
+// desync from the request stream. Flushing what the settle made ready
+// is the caller's next step (deliver in lot.go, or the pump's own
+// per-pass flush when the epoch was already durable).
 func (c *conn) ackFired(p *pending, ok bool) {
 	rec := c.srv.rec
 	c.wmu.Lock()
@@ -145,7 +137,9 @@ func (c *conn) ackFired(p *pending, ok bool) {
 		rec.Inc(c.rtid, obs.CNetAcksEpoch)
 		rec.ObserveSince(c.rtid, obs.HAckEpochNs, p.start)
 	}
-	c.scheduleFlushLocked()
+	if !c.raw {
+		c.wcond.Broadcast()
+	}
 	c.wmu.Unlock()
 }
 
@@ -160,18 +154,11 @@ func (c *conn) closeSoon() {
 		return
 	}
 	c.closing = true
-	if c.raw && c.qhead == nil && !c.flushActive {
-		c.dead = true
-		fin := c.maybeFinalizeLocked()
-		c.wmu.Unlock()
-		if fin {
-			c.finalize()
-		}
-		return
-	}
-	c.scheduleFlushLocked()
 	c.wcond.Broadcast()
 	c.wmu.Unlock()
+	// On the reactor, flushes what is ready and, once the queue is empty
+	// (now, or after the last parked ack fires), marks the connection dead.
+	c.flushRaw()
 }
 
 // abort tears the connection down immediately: the queue is dropped,
@@ -187,17 +174,7 @@ func (c *conn) abort() {
 	}
 	c.dead = true
 	c.closing = true
-	var cancels []*lotWaiter
-	for p := c.qhead; p != nil; p = p.next {
-		if p.nwait > 0 {
-			p.nwait = 0
-			p.aborted = true
-			c.srv.rec.Inc(c.rtid, obs.CNetAcksAborted)
-			cancels = append(cancels, p.lws...)
-			p.lws = nil
-		}
-	}
-	c.qhead, c.qtail, c.qlen, c.woff = nil, nil, 0, 0
+	cancels := c.dropQueueLocked()
 	c.wcond.Broadcast()
 	fin := c.maybeFinalizeLocked()
 	c.wmu.Unlock()
@@ -212,6 +189,23 @@ func (c *conn) abort() {
 	if fin {
 		c.finalize()
 	}
+}
+
+// dropQueueLocked empties the write queue of a connection that just
+// died, counting every unsettled durability wait as aborted, and returns
+// their lot slots for the caller to cancel outside wmu. wmu held.
+func (c *conn) dropQueueLocked() (cancels []*lotWaiter) {
+	for p := c.qhead; p != nil; p = p.next {
+		if p.nwait > 0 {
+			p.nwait = 0
+			p.aborted = true
+			c.srv.rec.Inc(c.rtid, obs.CNetAcksAborted)
+			cancels = append(cancels, p.lws...)
+			p.lws = nil
+		}
+	}
+	c.qhead, c.qtail, c.qlen, c.woff = nil, nil, 0, 0
+	return cancels
 }
 
 // maybeFinalizeLocked decides whether the caller (who is releasing the
@@ -251,17 +245,7 @@ func (c *conn) closeNow() {
 	}
 	c.dead = true
 	c.closeDone = true
-	var cancels []*lotWaiter
-	for p := c.qhead; p != nil; p = p.next {
-		if p.nwait > 0 {
-			p.nwait = 0
-			p.aborted = true
-			c.srv.rec.Inc(c.rtid, obs.CNetAcksAborted)
-			cancels = append(cancels, p.lws...)
-			p.lws = nil
-		}
-	}
-	c.qhead, c.qtail, c.qlen = nil, nil, 0
+	cancels := c.dropQueueLocked()
 	c.wmu.Unlock()
 	for _, lw := range cancels {
 		lw.cancel()

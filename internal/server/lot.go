@@ -65,6 +65,22 @@ func (lw *lotWaiter) fire(ok bool) {
 	}
 }
 
+// deliver fires every waiter, then flushes their connections on this
+// goroutine — no hand-off; writev never blocks (EAGAIN parks the queue
+// for EPOLLOUT). Settling the whole tick before the first write lets a
+// pipelined connection's acks leave in one vectored write, and the
+// repeat flushes of the same connection find nothing and return.
+func deliver(ws []*lotWaiter, ok bool) {
+	for _, lw := range ws {
+		lw.fire(ok)
+	}
+	for _, lw := range ws {
+		if lw.c != nil {
+			lw.c.flushRaw()
+		}
+	}
+}
+
 // shardLot parks waiters on one shard's persist watermark. The
 // subscriber goroutine is lazy: it starts with the first waiter and
 // exits when the lot drains, so idle shards cost nothing.
@@ -177,13 +193,9 @@ func (l *shardLot) run() {
 			l.running = false
 		}
 		l.mu.Unlock()
-		woken := 0
-		for _, lw := range ready {
-			lw.fire(true)
-			woken++
-		}
-		if woken > 0 {
-			l.rec.Observe(l.tid, obs.HParkFanout, uint64(woken))
+		deliver(ready, true)
+		if len(ready) > 0 {
+			l.rec.Observe(l.tid, obs.HParkFanout, uint64(len(ready)))
 		}
 		if empty {
 			return
@@ -196,9 +208,7 @@ func (l *shardLot) run() {
 			l.waiters = nil
 			l.running = false
 			l.mu.Unlock()
-			for _, lw := range failed {
-				lw.fire(false)
-			}
+			deliver(failed, false)
 			return
 		}
 	}

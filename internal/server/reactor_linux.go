@@ -34,30 +34,30 @@ type reactorState struct {
 }
 
 // reactor multiplexes every accepted TCP connection on one epoll
-// instance. A single poller goroutine turns readiness edges into pump
-// jobs executed by a small worker pool borrowing Montage thread ids per
-// burst, so at 10k idle connections the server holds 10k registered
-// fds but only O(cores) goroutines — no per-connection reader, no
-// per-connection writer.
+// instance and serves it run-to-completion: the poller goroutine that
+// learns a connection is readable reads, executes and replies itself.
+// Only when one epoll_wait returns several readable connections does it
+// keep one and hand the surplus to a small worker pool, so k ready
+// connections still execute min(k, workers+1)-wide while the common
+// one-ready case costs no channel send and no futex wake. The poller
+// and each worker own a Montage thread id for life. At 10k idle
+// connections the server holds 10k registered fds but O(cores)
+// goroutines — no per-connection reader, no per-connection writer.
 type reactor struct {
-	srv    *Server
-	epfd   int
-	mu     sync.Mutex
-	conns  map[int]*conn
-	pumpq  chan *conn
-	closed bool
+	srv   *Server
+	epfd  int
+	mu    sync.Mutex // guards conns, and done's close
+	conns map[int]*conn
+	// surplus queues connections whose pump claim is held for the workers.
+	// A connection is queued at most once (the claim is exclusive), so
+	// MaxConns slots mean a send never blocks — its senders include the
+	// parking-lot subscriber, which must not.
+	surplus chan *conn
+	done    chan struct{} // closed by closeReactor: poller and workers exit
 }
 
-func pumpWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
+// pumpWorkers sizes the surplus pool: GOMAXPROCS, clamped to [2, 16].
+func pumpWorkers() int { return min(max(runtime.GOMAXPROCS(0), 2), 16) }
 
 // startReactor lazily builds the server's reactor (first raw conn).
 func (s *Server) startReactor() *reactor {
@@ -67,18 +67,28 @@ func (s *Server) startReactor() *reactor {
 			return
 		}
 		r := &reactor{
-			srv:   s,
-			epfd:  epfd,
-			conns: make(map[int]*conn),
-			pumpq: make(chan *conn, 4096),
+			srv:     s,
+			epfd:    epfd,
+			conns:   make(map[int]*conn),
+			surplus: make(chan *conn, s.cfg.MaxConns),
+			done:    make(chan struct{}),
 		}
 		for i := 0; i < pumpWorkers(); i++ {
-			go r.pumpWorker()
+			go r.worker()
 		}
 		go r.poll()
 		s.reactorRef = r
 	})
 	return s.reactorRef
+}
+
+func (r *reactor) closed() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // tryRawConn moves a freshly accepted TCP connection onto the reactor.
@@ -101,33 +111,34 @@ func (s *Server) tryRawConn(c *conn) bool {
 	if r == nil {
 		return false
 	}
-	c.raw = true
-	c.fd = fd
+	// Set before the fd is registered: its first edge may beat our return.
+	c.raw, c.fd = true, fd
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		c.raw = false
-		return false
+	ok = !r.closed()
+	if ok {
+		r.conns[fd] = c
 	}
-	r.conns[fd] = c
 	r.mu.Unlock()
-	ev := syscall.EpollEvent{Events: evIn | evOut | evHup | evET, Fd: int32(fd)}
-	if err := syscall.EpollCtl(r.epfd, syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
-		r.mu.Lock()
-		delete(r.conns, fd)
-		r.mu.Unlock()
-		c.raw = false
-		return false
+	if ok && r.epollCtl(syscall.EPOLL_CTL_ADD, fd) != nil {
+		s.reactorDel(c)
+		ok = false
 	}
-	return true
+	if !ok {
+		c.raw = false
+	}
+	return ok
 }
 
-// reactorDel unregisters a connection before its fd closes.
+// epollCtl (re-)registers fd for edge-triggered read, write and hang-up
+// readiness.
+func (r *reactor) epollCtl(op, fd int) error {
+	ev := syscall.EpollEvent{Events: evIn | evOut | evHup | evET, Fd: int32(fd)}
+	return syscall.EpollCtl(r.epfd, op, fd, &ev)
+}
+
+// reactorDel unregisters a raw connection before its fd closes.
 func (s *Server) reactorDel(c *conn) {
 	r := s.reactorRef
-	if r == nil {
-		return
-	}
 	syscall.EpollCtl(r.epfd, syscall.EPOLL_CTL_DEL, c.fd, nil)
 	r.mu.Lock()
 	delete(r.conns, c.fd)
@@ -136,151 +147,144 @@ func (s *Server) reactorDel(c *conn) {
 
 // rearmWrite re-registers interest after a writev EAGAIN. With
 // edge-triggered epoll, a writability edge landing between the EAGAIN
-// and wantWrite being set would be dropped by noteWritable; EPOLL_CTL_MOD
+// and wantWrite being set would find nothing to resume; EPOLL_CTL_MOD
 // re-delivers the edge if the socket is already writable again.
 func (s *Server) rearmWrite(c *conn) {
-	r := s.reactorRef
-	if r == nil {
-		return
-	}
-	ev := syscall.EpollEvent{Events: evIn | evOut | evHup | evET, Fd: int32(c.fd)}
-	syscall.EpollCtl(r.epfd, syscall.EPOLL_CTL_MOD, c.fd, &ev)
+	s.reactorRef.epollCtl(syscall.EPOLL_CTL_MOD, c.fd)
 }
 
-// closeReactor stops the poller and workers (Shutdown).
+// closeReactor stops the poller and workers (Shutdown, after every
+// connection has been finalized).
 func (s *Server) closeReactor() {
 	r := s.reactorRef
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
+	if !r.closed() {
+		close(r.done)
 	}
-	r.closed = true
 	r.mu.Unlock()
-	close(r.pumpq)
-	syscall.Close(r.epfd)
 }
 
-// poll is the single event loop: readable edges schedule pumps,
-// writable edges resume EAGAIN-parked flushes. The wait uses a finite
-// timeout because closing an epoll fd does not wake epoll_wait.
+// poll is the single event loop. It folds each event into its
+// connection's state, flushes on writable edges that resume an
+// EAGAIN-parked queue, and pumps readable connections: the first one
+// itself, after the rest are on their way to the workers. The wait uses
+// a finite timeout so that a closed reactor is noticed; the poller owns
+// the epoll fd and closes it on the way out.
 func (r *reactor) poll() {
+	tid := <-r.srv.tids
+	defer func() {
+		r.srv.tids <- tid
+		syscall.Close(r.epfd)
+	}()
 	events := make([]syscall.EpollEvent, 128)
+	ready := make([]*conn, len(events))
 	for {
+		// The wait is a raw blocking syscall: it keeps this goroutine's P,
+		// and whatever the last pass made runnable on it (a surplus worker,
+		// a Sync waiting on the advance lock we just released) would sit
+		// there until stolen or until sysmon retakes the P. Let it run first.
+		runtime.Gosched()
 		n, err := syscall.EpollWait(r.epfd, events, 500)
 		if err == syscall.EINTR {
 			continue
 		}
-		r.mu.Lock()
-		closed := r.closed
-		r.mu.Unlock()
-		if closed || err != nil {
+		if err != nil || r.closed() {
 			return
 		}
-		for i := 0; i < n; i++ {
-			fd := int(events[i].Fd)
-			r.mu.Lock()
-			c := r.conns[fd]
-			r.mu.Unlock()
+		r.mu.Lock()
+		for i := range ready[:n] {
+			ready[i] = r.conns[int(events[i].Fd)]
+		}
+		r.mu.Unlock()
+		var own *conn
+		for i, c := range ready[:n] {
 			if c == nil {
 				continue
 			}
-			ev := events[i].Events
-			if ev&evOut != 0 {
-				c.noteWritable()
+			ready[i] = nil
+			flush, pump := c.onEvent(events[i].Events)
+			if flush {
+				c.flushRaw()
 			}
-			if ev&(evIn|evHup) != 0 {
-				c.schedulePump()
+			if !pump {
+				continue
 			}
+			if own == nil {
+				own = c
+			} else {
+				r.surplus <- c
+			}
+		}
+		if own != nil {
+			own.pump(tid, true)
 		}
 	}
 }
 
-func (r *reactor) pumpWorker() {
-	for c := range r.pumpq {
-		c.pump()
-	}
-}
-
-// schedulePump hands the connection to a pump worker, coalescing edges
-// that land while a pump is already running.
-func (c *conn) schedulePump() {
-	c.wmu.Lock()
-	if c.dead || c.closing || c.readParked {
-		c.wmu.Unlock()
-		return
-	}
-	if c.pumpRunning {
-		c.pumpAgain = true
-		c.wmu.Unlock()
-		return
-	}
-	c.pumpRunning = true
-	c.wmu.Unlock()
-	r := c.srv.reactorRef
-	if r == nil {
-		go c.pump()
-		return
-	}
-	select {
-	case r.pumpq <- c:
-	default:
-		go c.pump()
-	}
-}
-
-// noteWritable resumes a flush parked on EAGAIN.
-func (c *conn) noteWritable() {
-	c.wmu.Lock()
-	if !c.wantWrite {
-		c.wmu.Unlock()
-		return
-	}
-	c.wantWrite = false
-	c.scheduleFlushLocked()
-	c.wmu.Unlock()
-}
-
-// pump drains the socket: borrow an exec tid, read+ingest until EAGAIN
-// (or EOF/error/throttle), return the tid. Loops while coalesced edges
-// are queued.
-func (c *conn) pump() {
+// worker pumps the connections the poller (or a resuming flush) could
+// not run itself.
+func (r *reactor) worker() {
+	tid := <-r.srv.tids
+	defer func() { r.srv.tids <- tid }()
 	for {
-		tid := <-c.srv.tids
-		again := c.pumpOnce(tid)
-		c.srv.tids <- tid
-		if !again {
+		select {
+		case c := <-r.surplus:
+			c.pump(tid, false)
+		case <-r.done:
 			return
 		}
 	}
 }
 
-// pumpStop clears the running flag and finalizes if this was the last
-// activity on a dead connection.
-func (c *conn) pumpStop() {
+// onEvent folds one epoll event into the connection's state under one
+// lock acquisition: flush reports that an EAGAIN-parked queue may move
+// again, pump that the caller now holds the connection's pump claim.
+func (c *conn) onEvent(ev uint32) (flush, pump bool) {
 	c.wmu.Lock()
-	c.pumpAgain = false
-	c.pumpRunning = false
-	fin := c.maybeFinalizeLocked()
-	c.wmu.Unlock()
-	if fin {
-		c.finalize()
+	defer c.wmu.Unlock()
+	if ev&evOut != 0 && c.wantWrite {
+		c.wantWrite = false
+		flush = true
 	}
+	if ev&(evIn|evHup) != 0 {
+		if ev&evHup != 0 {
+			c.hup = true
+		}
+		pump = c.claimPumpLocked()
+	}
+	return flush, pump
 }
 
-// pumpDone is the EAGAIN exit: if an edge was coalesced while we ran,
-// report that another pass is needed (keeping pumpRunning claimed).
-func (c *conn) pumpDone() bool {
+// claimPumpLocked takes the pump claim — the right to read and ingest,
+// held by one goroutine at a time — or, if a pump is running, leaves it
+// a note that another edge arrived. wmu held.
+func (c *conn) claimPumpLocked() bool {
+	if c.dead || c.closing || c.readParked {
+		return false
+	}
+	if c.pumpRunning {
+		c.pumpAgain = true
+		return false
+	}
+	c.pumpRunning = true
+	return true
+}
+
+// pumpRelease gives the pump claim up and finalizes if this was the last
+// activity on a dead connection. With rerun set it first checks for an
+// edge coalesced while the pump ran: then the claim is kept and true
+// returned — the caller must make another pass.
+func (c *conn) pumpRelease(rerun bool) bool {
 	c.wmu.Lock()
-	if c.pumpAgain && !c.dead && !c.closing && !c.readParked {
-		c.pumpAgain = false
+	rerun = rerun && c.pumpAgain && !c.dead && !c.closing
+	c.pumpAgain = false
+	if rerun {
 		c.wmu.Unlock()
 		return true
 	}
-	c.pumpAgain = false
 	c.pumpRunning = false
 	fin := c.maybeFinalizeLocked()
 	c.wmu.Unlock()
@@ -290,107 +294,149 @@ func (c *conn) pumpDone() bool {
 	return false
 }
 
-// pumpIngest runs the parser over buffered input. Returns false when
-// the pump must stop (throttle park, quit, fatal protocol error) —
-// all cleanup already done.
-func (c *conn) pumpIngest(tid int) bool {
-	err := c.ingest(tid)
-	switch err {
-	case nil:
-		return true
-	case errThrottle:
-		c.wmu.Lock()
-		if c.qlen >= pipelineCap/2 && !c.dead && !c.closing {
-			// Park reading; the flusher resumes us below half.
-			c.readParked = true
-			c.pumpAgain = false
-			c.pumpRunning = false
-			c.wmu.Unlock()
-			return false
-		}
-		c.wmu.Unlock() // already drained; keep going
-		return true
-	default:
-		c.pumpStop()
-		c.closeSoon()
-		return false
-	}
-}
-
-func (c *conn) pumpOnce(tid int) bool {
-	rec := c.srv.rec
+// pump serves one connection to completion: read, ingest (executing
+// every complete command), flush, until the socket is drained. The
+// caller holds the pump claim; every return path has released it or
+// passed it on. A short read ends the pass without a second read(2):
+// on a stream socket it proves the buffer empty (epoll(7)), and bytes
+// arriving later raise a new edge — except after a hang-up, which has
+// no later edge, so the pump then reads on to EOF. inline marks the
+// poller's own pump: a connection with more than one buffer-full of
+// input is passed to the workers, so a streaming client cannot keep the
+// poller from the other connections.
+func (c *conn) pump(tid int, inline bool) {
 	for {
 		c.wmu.Lock()
-		stop := c.dead || c.closing || c.readParked
+		stop, hup := c.dead || c.closing, c.hup
 		c.wmu.Unlock()
 		if stop {
-			c.pumpStop()
-			return false
+			c.pumpRelease(false)
+			return
 		}
-		if len(c.in) > 0 && !c.pumpIngest(tid) {
-			return false
+		// Buffered input first: a throttled pass leaves complete commands
+		// behind, and the client may be waiting on them before sending more.
+		if len(c.in) > 0 && !c.serve(tid) {
+			return
 		}
 		c.ensureSpare(readChunk)
+		room := cap(c.in) - len(c.in)
 		n, err := syscall.Read(c.fd, c.in[len(c.in):cap(c.in)])
 		switch {
 		case n > 0:
-			rec.Add(c.rtid, obs.CNetBytesIn, uint64(n))
+			c.srv.rec.Add(c.rtid, obs.CNetBytesIn, uint64(n))
 			c.in = c.in[:len(c.in)+n]
-			if !c.pumpIngest(tid) {
-				return false
+			if !c.serve(tid) {
+				return
 			}
-		case n == 0 && err == nil:
-			c.pumpStop()
-			c.closeSoon()
-			return false
-		default:
-			switch err {
-			case syscall.EAGAIN:
-				return c.pumpDone()
-			case syscall.EINTR:
+			if n == room || hup {
+				if inline {
+					c.srv.reactorRef.surplus <- c
+					return
+				}
 				continue
-			default:
-				c.pumpStop()
-				c.abort()
-				return false
 			}
+		case err == nil: // n == 0: EOF
+			c.pumpRelease(false)
+			c.closeSoon()
+			return
+		case err == syscall.EINTR:
+			continue
+		case err != syscall.EAGAIN:
+			c.pumpRelease(false)
+			c.abort()
+			return
+		}
+		if !c.pumpRelease(true) {
+			return
 		}
 	}
 }
 
-// flushRaw drains the settled prefix of the write queue with vectored
-// writes. Exactly one flushRaw owns a connection at a time
-// (flushActive); it loops until the queue has nothing flushable, the
-// socket blocks (EAGAIN → EPOLLOUT resumes), or the connection dies.
+// serve runs the parser over the buffered input and flushes what it
+// produced — one writev per read batch. Returns false when the pump
+// must stop (throttle park, quit, fatal protocol error), the claim
+// already released.
+func (c *conn) serve(tid int) bool {
+	for {
+		err := c.ingest(tid)
+		c.flushRaw()
+		switch err {
+		case nil:
+			return true
+		case errThrottle:
+			c.wmu.Lock()
+			if c.qlen >= pipelineCap/2 && !c.dead && !c.closing {
+				// Our own flush could not drain the queue (the client is not
+				// reading, or acks are parked): stop reading. Whoever next
+				// flushes it below half resumes us.
+				c.readParked = true
+				c.pumpAgain = false
+				c.pumpRunning = false
+				c.wmu.Unlock()
+				return false
+			}
+			c.wmu.Unlock() // drained: run the commands still buffered
+		default:
+			c.pumpRelease(false)
+			c.closeSoon()
+			return false
+		}
+	}
+}
+
+// resumePump restarts a pump that parked on a full pipeline — on a
+// worker, since the caller may be the parking-lot subscriber, which owns
+// no thread id.
+func (c *conn) resumePump() {
+	c.wmu.Lock()
+	ok := c.claimPumpLocked()
+	c.wmu.Unlock()
+	if ok {
+		c.srv.reactorRef.surplus <- c
+	}
+}
+
+// flushRaw writes the settled prefix of a reactor connection's response
+// queue (a no-op on any other) with vectored writes, on the goroutine of
+// whoever settled its head: the
+// pump after an ingest pass, the parking-lot subscriber after an epoch
+// tick, the poller on a writable edge. One caller at a time holds the
+// flush claim (flushActive) and loops until nothing more is flushable;
+// the others return at once, since that loop re-examines the head under
+// wmu and so cannot miss what they settled. The socket is non-blocking:
+// a full send buffer parks the queue on wantWrite for EPOLLOUT, and no
+// caller is ever held by a slow client.
 func (c *conn) flushRaw() {
 	rec := c.srv.rec
-	for {
-		c.wmu.Lock()
-		if c.dead {
-			c.flushActive = false
-			fin := c.maybeFinalizeLocked()
-			c.wmu.Unlock()
-			if fin {
-				c.finalize()
-			}
-			return
-		}
-		c.iov = c.iov[:0]
+	c.wmu.Lock()
+	if !c.raw || c.flushActive || c.wantWrite {
+		c.wmu.Unlock()
+		return
+	}
+	c.flushActive = true
+	var werr error
+	for { // wmu held
 		total := 0
-		nb := 0
-		for p := c.qhead; p != nil && p.nwait == 0 && nb < maxFlushBatch; p = p.next {
-			d := p.data
-			if nb == 0 && c.woff > 0 {
-				d = d[c.woff:]
+		if !c.dead && werr == nil {
+			c.iov = c.iov[:0]
+			nb := 0
+			for p := c.qhead; p != nil && p.nwait == 0 && nb < maxFlushBatch; p = p.next {
+				d := p.data
+				if nb == 0 && c.woff > 0 {
+					d = d[c.woff:]
+				}
+				if len(d) > 0 {
+					c.iov = append(c.iov, d)
+					total += len(d)
+				}
+				nb++
 			}
-			if len(d) > 0 {
-				c.iov = append(c.iov, d)
-				total += len(d)
-			}
-			nb++
 		}
 		if total == 0 {
+			// Dead, drained, head unsettled, or socket full: give the claim up.
 			c.flushActive = false
+			c.wantWrite = werr == syscall.EAGAIN && !c.dead
+			rearm := c.wantWrite
 			if c.closing && c.qhead == nil {
 				c.dead = true
 			}
@@ -398,27 +444,27 @@ func (c *conn) flushRaw() {
 			c.wmu.Unlock()
 			if fin {
 				c.finalize()
+			} else if rearm {
+				// Close the edge-race window (see rearmWrite).
+				c.srv.rearmWrite(c)
 			}
 			return
 		}
 		c.wmu.Unlock()
 
-		n, werr := c.writevRaw(c.iov)
+		var n int
+		n, werr = c.writevRaw(c.iov)
 		if n > 0 {
 			rec.Add(c.rtid, obs.CNetBytesOut, uint64(n))
 			rec.Inc(c.rtid, obs.CNetFlushes)
 			rec.Observe(c.rtid, obs.HFlushBytes, uint64(n))
 		}
-
+		if werr != nil && werr != syscall.EAGAIN {
+			c.abort() // cannot finalize while we hold the flush claim
+		}
 		c.wmu.Lock()
 		if c.dead { // abort cleared the queue under us
-			c.flushActive = false
-			fin := c.maybeFinalizeLocked()
-			c.wmu.Unlock()
-			if fin {
-				c.finalize()
-			}
-			return
+			continue
 		}
 		c.batch = c.batch[:0]
 		rem := n
@@ -427,7 +473,6 @@ func (c *conn) flushRaw() {
 			avail := len(p.data) - c.woff
 			if rem < avail {
 				c.woff += rem
-				rem = 0
 				break
 			}
 			rem -= avail
@@ -447,29 +492,17 @@ func (c *conn) flushRaw() {
 		if resume {
 			c.readParked = false
 		}
-		again := werr == syscall.EAGAIN
-		if again {
-			c.wantWrite = true
-			c.flushActive = false
-		}
 		c.wmu.Unlock()
 
+		// Still under the flush claim: c.batch is ours.
 		for i, p := range c.batch {
 			releasePending(p)
 			c.batch[i] = nil
 		}
 		if resume {
-			c.schedulePump()
+			c.resumePump()
 		}
-		if werr != nil {
-			if again {
-				// Close the edge-race window (see rearmWrite).
-				c.srv.rearmWrite(c)
-				return
-			}
-			c.abort()
-			return
-		}
+		c.wmu.Lock()
 	}
 }
 

@@ -17,6 +17,3 @@ func (s *Server) closeReactor() {}
 
 // flushRaw is never reached off linux (conn.raw is never set).
 func (c *conn) flushRaw() {}
-
-// schedulePump is never reached off linux.
-func (c *conn) schedulePump() {}

@@ -259,11 +259,6 @@ type Server struct {
 	conns  map[*conn]struct{}
 	connWG sync.WaitGroup
 
-	// flushq feeds the shared flusher pool draining raw connections'
-	// response queues with vectored writes.
-	flushOnce sync.Once
-	flushq    chan *conn
-
 	reactorState
 }
 
@@ -278,9 +273,10 @@ func New(cfg Config) (*Server, error) {
 		execThreads: exec,
 		tids:        make(chan int, exec),
 		conns:       make(map[*conn]struct{}),
-		flushq:      make(chan *conn, 4096),
 	}
-	for tid := 0; tid < exec; tid++ {
+	// Highest first: the reactor's poller and workers take theirs for
+	// life, and the protocol tests drive pipes on fixed tids 0..3.
+	for tid := exec - 1; tid >= 0; tid-- {
 		s.tids <- tid
 	}
 
@@ -399,8 +395,8 @@ func (s *Server) Serve() error {
 		c.accepted = true
 		s.startConn(c)
 		if s.tryRawConn(c) {
-			// Reactor connection: no goroutines of its own. Pumps run on
-			// readable edges, flushes on the shared flusher pool.
+			// Reactor connection: no goroutines of its own. The poller (or
+			// a surplus worker) reads, executes and replies on readable edges.
 			continue
 		}
 		go func() {
@@ -427,34 +423,6 @@ func (s *Server) finishConn(c *conn) {
 	s.rec.Inc(c.rtid, obs.CNetConnsClosed)
 	s.connSlots.Add(-1)
 	s.connWG.Done()
-}
-
-// submitFlush hands a raw connection with a flushable queue to the
-// flusher pool (overflow spawns a one-shot goroutine rather than
-// blocking the caller, which may hold nothing but may be a lot
-// subscriber that must not stall a shard).
-func (s *Server) submitFlush(c *conn) {
-	s.flushOnce.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if n < 2 {
-			n = 2
-		}
-		if n > 8 {
-			n = 8
-		}
-		for i := 0; i < n; i++ {
-			go func() {
-				for fc := range s.flushq {
-					fc.flushRaw()
-				}
-			}()
-		}
-	})
-	select {
-	case s.flushq <- c:
-	default:
-		go c.flushRaw()
-	}
 }
 
 // ListenAndServe is Listen followed by Serve.

@@ -3,7 +3,7 @@
 # start a loopback server sized for thousands of connections, and run a
 # 1k-connection burst (buffered, then epoch-wait). This exercises the
 # pieces a 4-connection burst never touches — the ramped dialer, the
-# shared flusher pool under churn, the scaled-down per-connection
+# reactor's surplus workers under churn, the scaled-down per-connection
 # buffers, and the capped recorder — and montage-load exits nonzero if
 # no operations were acknowledged.
 set -e
