@@ -34,10 +34,13 @@ vet: lint-dead
 
 # The nonblocking epoch engine and its lazy-persist layer were deleted,
 # and so were the server's pump-pool and flush-pool hand-offs; fail if
-# any of their entry points reappears in Go source.
+# any of their entry points reappears in Go source. Nor may the store or
+# the server go back to counting or listing keys by copying every value:
+# no HashMap.Snapshot in kvstore, no len(Keys()) on the serving path.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
+	@! grep -nE '\.Snapshot\(tid\)|len\([a-zA-Z.]*Keys\(' internal/kvstore/kvstore.go internal/kvstore/sharded.go internal/server/conn.go internal/server/server.go
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,
@@ -87,10 +90,11 @@ bench:
 
 # One-iteration pass over the hot-path microbenchmarks (device
 # write-back/fence/drain, the one-block fence after a bulk batch,
-# allocator size-class lookup): catches benchmark-code rot and
-# accidental allocation regressions without measuring anything.
+# allocator size-class lookup, a 100 k-item recovery, the stats command
+# over 100 k items): catches benchmark-code rot and accidental
+# allocation regressions without measuring anything.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/pmem ./internal/ralloc
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/pmem ./internal/ralloc ./internal/kvstore ./internal/server
 
 # Continuous-regression smoke: run the benchmark suite at CI size,
 # write a BENCH artifact, and diff it against the committed baseline.

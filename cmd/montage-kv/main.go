@@ -217,7 +217,7 @@ func main() {
 				break
 			}
 			p, store = p2, st
-			fmt.Printf("recovered; %d keys survive\n", len(storeKeys(store)))
+			fmt.Printf("recovered; %d keys survive\n", store.Len())
 		case "stats":
 			st := store.Stats()
 			fmt.Printf("hits=%d misses=%d sets=%d deletes=%d expirations=%d\n",
@@ -258,7 +258,7 @@ func main() {
 	}
 }
 
-// storeKeys lists the store's keys via its backend snapshot.
+// storeKeys lists the store's keys in sorted order.
 func storeKeys(s *kvstore.Store) []string {
 	keys := s.Keys(0)
 	sort.Strings(keys)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"montage/internal/epoch"
@@ -64,8 +63,12 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 		cutoff = clock - 2
 	}
 
+	// Worker w sweeps as thread id w, and the clock has MaxThreads of them.
+	if workers > cfg.MaxThreads {
+		workers = cfg.MaxThreads
+	}
 	sweepStart := time.Now()
-	blocks, err := heap.Recover(workers)
+	blocks, err := heap.Recover(workers, cutoff)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -73,34 +76,44 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	rec.Add(0, obs.CRecoveredBlocks, uint64(len(blocks)))
 
 	filterStart := time.Now()
-	// Pick, per uid, the newest version at or below the cutoff.
-	winner := make(map[uint64]ralloc.Block, len(blocks))
+	// Pick, per uid, the newest version at or below the cutoff: winner maps
+	// a uid to its best block's index so far, and inUse holds the address
+	// of every uid's current winner unless that winner is an anti-payload.
+	winner := make(map[uint64]int32, len(blocks))
+	inUse := heap.NewAddrSet()
 	var maxUID uint64
-	for _, b := range blocks {
-		if b.Header.UID > maxUID {
-			maxUID = b.Header.UID
+	for i := range blocks {
+		h := &blocks[i].Header
+		if h.UID > maxUID {
+			maxUID = h.UID
 		}
-		if b.Header.Epoch > cutoff {
+		if h.Epoch > cutoff {
 			continue
 		}
-		w, ok := winner[b.Header.UID]
-		if !ok || b.Header.Epoch > w.Header.Epoch ||
-			(b.Header.Epoch == w.Header.Epoch && b.Header.Typ == payload.Delete) {
-			winner[b.Header.UID] = b
+		if j, ok := winner[h.UID]; ok {
+			w := &blocks[j].Header
+			if h.Epoch < w.Epoch || (h.Epoch == w.Epoch && h.Typ != payload.Delete) {
+				continue
+			}
+			inUse.Remove(blocks[j].Addr)
+		}
+		winner[h.UID] = int32(i)
+		if h.Typ != payload.Delete {
+			inUse.Add(blocks[i].Addr)
 		}
 	}
 
 	sys := &System{cfg: cfg, dev: dev, heap: heap, clk: dev.Clock(), rec: rec}
 	sys.uid.Store(maxUID)
 
-	inUse := make(map[pmem.Addr]bool, len(winner))
-	var survivors []*PBlk
-	for _, b := range winner {
-		if b.Header.Typ == payload.Delete {
+	// Address order: deterministic, for tests and rebuild partitioning.
+	survivors := make([]*PBlk, 0, len(winner))
+	for i := range blocks {
+		b := &blocks[i]
+		if !inUse.Has(b.Addr) {
 			continue
 		}
-		inUse[b.Addr] = true
-		survivors = append(survivors, &PBlk{
+		p := &PBlk{
 			sys:   sys,
 			addr:  b.Addr,
 			epoch: b.Header.Epoch,
@@ -108,10 +121,9 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 			typ:   b.Header.Typ,
 			tag:   b.Header.Tag,
 			data:  b.Data,
-		})
-	}
-	for _, p := range survivors {
+		}
 		p.flushed.Store(true)
+		survivors = append(survivors, p)
 	}
 	rec.Add(0, obs.CRecoveryFilterNs, uint64(time.Since(filterStart).Nanoseconds()))
 	rec.Add(0, obs.CRecoveredLive, uint64(len(survivors)))
@@ -126,8 +138,9 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	// re-run of recovery would otherwise resurrect.
 	var zero [8]byte
 	for pass := 0; pass < 2; pass++ {
-		for _, b := range blocks {
-			if inUse[b.Addr] {
+		for i := range blocks {
+			b := &blocks[i]
+			if inUse.Has(b.Addr) {
 				continue
 			}
 			isAnti := b.Header.Typ == payload.Delete
@@ -151,9 +164,6 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 		restart = epoch.FirstEpoch
 	}
 	sys.esys = epoch.NewAt(heap, cfg.Epoch, restart)
-
-	// Deterministic order helps tests and parallel rebuild partitioning.
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i].uid < survivors[j].uid })
 	return sys, survivors, nil
 }
 
@@ -170,8 +180,9 @@ func FilterByTag(payloads []*PBlk, tag uint16) []*PBlk {
 	return out
 }
 
-// RecoverParallel splits the surviving payloads into k disjoint chunks,
-// mirroring the paper's k recovery iterators for parallel index rebuild.
+// RecoverParallel splits the surviving payloads into k disjoint chunks
+// (consecutive runs of Recover's order, no copy), mirroring the paper's k
+// recovery iterators for parallel index rebuild.
 func RecoverParallel(dev *pmem.Device, cfg Config, workers int) (*System, [][]*PBlk, error) {
 	sys, survivors, err := Recover(dev, cfg, workers)
 	if err != nil {
@@ -181,8 +192,9 @@ func RecoverParallel(dev *pmem.Device, cfg Config, workers int) (*System, [][]*P
 		workers = 1
 	}
 	chunks := make([][]*PBlk, workers)
-	for i, p := range survivors {
-		chunks[i%workers] = append(chunks[i%workers], p)
+	for i := range chunks {
+		lo, hi := i*len(survivors)/workers, (i+1)*len(survivors)/workers
+		chunks[i] = survivors[lo:hi:hi]
 	}
 	return sys, chunks, nil
 }

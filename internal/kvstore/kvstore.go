@@ -28,6 +28,7 @@ import (
 
 	"montage/internal/baselines"
 	"montage/internal/core"
+	"montage/internal/obs"
 	"montage/internal/pds"
 )
 
@@ -61,6 +62,8 @@ type Backend interface {
 	Delete(tid int, key string) (bool, DurabilityTag, error)
 	// Keys lists the stored keys (not linearizable; admin use).
 	Keys(tid int) []string
+	// Len returns the number of stored keys.
+	Len() int
 }
 
 // MontageBackend persists items in a single Montage hashmap (shard 0 of
@@ -93,11 +96,15 @@ func (b *MontageBackend) Delete(tid int, key string) (bool, DurabilityTag, error
 }
 
 // Keys implements Backend.
-func (b *MontageBackend) Keys(tid int) []string {
-	snap := b.m.Snapshot(tid)
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
+func (b *MontageBackend) Keys(tid int) []string { return mapKeys(tid, b.m) }
+
+// Len implements Backend.
+func (b *MontageBackend) Len() int { return b.m.Len() }
+
+// mapKeys lists the keys of the given hashmaps without copying values.
+func mapKeys(tid int, maps ...*pds.HashMap) (keys []string) {
+	for _, m := range maps {
+		m.Range(tid, func(key string, _ []byte) { keys = append(keys, key) })
 	}
 	return keys
 }
@@ -134,6 +141,9 @@ func (b *TransientBackend) Delete(tid int, key string) (bool, DurabilityTag, err
 
 // Keys implements Backend.
 func (b *TransientBackend) Keys(tid int) []string { return b.m.Keys() }
+
+// Len implements Backend.
+func (b *TransientBackend) Len() int { return b.m.Len() }
 
 // Stats counts cache activity.
 type Stats struct {
@@ -670,16 +680,20 @@ func (s *Store) touch(key string) {
 // Keys lists the store's keys (admin/debug use; not linearizable).
 func (s *Store) Keys(tid int) []string { return s.backend.Keys(tid) }
 
-// restoreCASSeq resumes the CAS-token sequence above the largest
-// surviving token, so gets/cas pairs span the crash correctly.
-func (s *Store) restoreCASSeq() {
+// Len returns the number of stored items, expired ones included until a
+// get reaps them. O(1) on the Montage backends.
+func (s *Store) Len() int { return s.backend.Len() }
+
+// restoreCASSeq resumes the CAS-token sequence above the largest token
+// in the recovered maps, so gets/cas pairs span the crash correctly.
+func (s *Store) restoreCASSeq(maps ...*pds.HashMap) {
 	var maxCAS uint64
-	for _, key := range s.backend.Keys(0) {
-		if data, ok := s.backend.Get(0, key); ok {
-			if _, cas, _, okd := decodeItem(data); okd && cas > maxCAS {
+	for _, m := range maps {
+		m.Range(0, func(_ string, item []byte) {
+			if _, cas, _, ok := decodeItem(item); ok && cas > maxCAS {
 				maxCAS = cas
 			}
-		}
+		})
 	}
 	s.casSeq.Store(maxCAS)
 }
@@ -688,11 +702,13 @@ func (s *Store) restoreCASSeq() {
 // after a crash. CAS tokens persist with the items, so the token
 // sequence resumes above the largest survivor.
 func RecoverMontageStore(sys *core.System, nBuckets int, chunks [][]*core.PBlk, capacity int) (*Store, error) {
+	start := time.Now()
 	m, err := pds.RecoverHashMap(sys, nBuckets, chunks)
 	if err != nil {
 		return nil, err
 	}
 	s := New(NewMontageBackend(m), capacity)
-	s.restoreCASSeq()
+	s.restoreCASSeq(m)
+	sys.Recorder().Add(0, obs.CRecoveryBuildNs, uint64(time.Since(start).Nanoseconds()))
 	return s, nil
 }

@@ -2,8 +2,10 @@ package kvstore
 
 import (
 	"fmt"
+	"time"
 
 	"montage/internal/core"
+	"montage/internal/obs"
 	"montage/internal/pds"
 	"montage/internal/pool"
 )
@@ -57,14 +59,15 @@ func (b *ShardedBackend) Delete(tid int, key string) (bool, DurabilityTag, error
 }
 
 // Keys implements Backend.
-func (b *ShardedBackend) Keys(tid int) []string {
-	var keys []string
+func (b *ShardedBackend) Keys(tid int) []string { return mapKeys(tid, b.maps...) }
+
+// Len implements Backend.
+func (b *ShardedBackend) Len() int {
+	n := 0
 	for _, m := range b.maps {
-		for k := range m.Snapshot(tid) {
-			keys = append(keys, k)
-		}
+		n += m.Len()
 	}
-	return keys
+	return n
 }
 
 // RecoverShardedStore rebuilds a pool-backed store after a whole-pool
@@ -72,8 +75,10 @@ func (b *ShardedBackend) Keys(tid int) []string {
 // pool.Recover or pool.Open, and each shard's hashmap rebuilds from its
 // own survivors only (keys never migrate — the router is stable). The
 // CAS-token sequence resumes above the largest survivor across all
-// shards.
+// shards. The rebuild's wall time goes to shard 0's recorder as
+// recovery_rebuild_ns, next to the three phases core.Recover records.
 func RecoverShardedStore(p *pool.Pool, nBuckets int, chunks [][][]*core.PBlk, capacity int) (*Store, error) {
+	start := time.Now()
 	if len(chunks) != p.NumShards() {
 		return nil, fmt.Errorf("kvstore: recover: %d survivor chunk sets for %d shards", len(chunks), p.NumShards())
 	}
@@ -86,6 +91,7 @@ func RecoverShardedStore(p *pool.Pool, nBuckets int, chunks [][][]*core.PBlk, ca
 		b.maps[i] = m
 	}
 	s := New(b, capacity)
-	s.restoreCASSeq()
+	s.restoreCASSeq(b.maps...)
+	p.Shard(0).Recorder().Add(0, obs.CRecoveryBuildNs, uint64(time.Since(start).Nanoseconds()))
 	return s, nil
 }

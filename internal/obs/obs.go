@@ -74,6 +74,7 @@ const (
 	CRecoverySweepNs  // ns spent sweeping the arena
 	CRecoveryFilterNs // ns spent picking surviving versions
 	CRecoveryInvalNs  // ns spent invalidating discarded blocks
+	CRecoveryBuildNs  // ns spent rebuilding the index and store over the survivors
 
 	// Allocator (internal/ralloc).
 	CAllocs     // blocks allocated

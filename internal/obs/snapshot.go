@@ -69,6 +69,7 @@ type RuntimeStats struct {
 	RecoverySweepNs    uint64 `json:"recovery_sweep_ns"`
 	RecoveryFilterNs   uint64 `json:"recovery_filter_ns"`
 	RecoveryInvalNs    uint64 `json:"recovery_invalidate_ns"`
+	RecoveryRebuildNs  uint64 `json:"recovery_rebuild_ns"`
 }
 
 // AllocStats are the allocator's counters.
@@ -376,6 +377,7 @@ func buildSnapshot(raw *rawStats) Snapshot {
 		RecoverySweepNs:    c[CRecoverySweepNs],
 		RecoveryFilterNs:   c[CRecoveryFilterNs],
 		RecoveryInvalNs:    c[CRecoveryInvalNs],
+		RecoveryRebuildNs:  c[CRecoveryBuildNs],
 	}
 	s.Alloc = AllocStats{
 		Allocs:      c[CAllocs],

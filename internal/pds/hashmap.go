@@ -1,8 +1,10 @@
 package pds
 
 import (
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"montage/internal/core"
 )
@@ -21,7 +23,8 @@ type HashMap struct {
 	// enc is per-thread scratch for the encoded pair: core copies payload
 	// data on PNew and Set, so the encoding only has to outlive the call,
 	// and a thread id has one owner at a time.
-	enc [][]byte
+	enc   [][]byte
+	count atomic.Int64 // stored pairs, kept by insert, remove and rebuild
 }
 
 type bucket struct {
@@ -71,30 +74,36 @@ func RecoverHashMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*Has
 }
 
 // RecoverHashMapTagged rebuilds a map from the payloads carrying tag.
+// Chunk w is rebuilt as thread id w modulo the system's thread ids. Each
+// bucket's list is sorted once, after every pair has been pushed onto a
+// head: walking the list on each insert costs a chain of cache misses per
+// pair, since other buckets' inserts come in between.
 func RecoverHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk, tag uint16) (*HashMap, error) {
 	m := NewHashMapTagged(sys, nBuckets, tag)
-	filtered := make([][]*core.PBlk, len(chunks))
-	for i, c := range chunks {
-		filtered[i] = core.FilterByTag(c, tag)
-	}
-	chunks = filtered
+	threads := sys.Epochs().Config().MaxThreads
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for w, chunk := range chunks {
 		wg.Add(1)
 		go func(w int, chunk []*core.PBlk) {
 			defer wg.Done()
+			tid, n := w%threads, 0
 			for _, p := range chunk {
-				key, _, ok := decodeKV(sys.Read(w, p))
+				if p.Tag() != tag {
+					continue
+				}
+				key, _, ok := decodeKV(sys.Read(tid, p))
 				if !ok {
 					errs[w] = ErrCorruptPayload
 					return
 				}
 				b := m.bucketFor(key)
 				b.mu.Lock()
-				b.insertNode(&mapNode{key: key, payload: p})
+				b.head = &mapNode{key: key, payload: p, next: b.head}
 				b.mu.Unlock()
+				n++
 			}
+			m.count.Add(int64(n))
 		}(w, chunk)
 	}
 	wg.Wait()
@@ -103,6 +112,17 @@ func RecoverHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk,
 			return nil, err
 		}
 	}
+	for w := range chunks {
+		wg.Add(1)
+		go func(part []bucket) {
+			defer wg.Done()
+			var nodes []*mapNode
+			for i := range part {
+				nodes = part[i].sortNodes(nodes[:0])
+			}
+		}(m.buckets[w*len(m.buckets)/len(chunks) : (w+1)*len(m.buckets)/len(chunks)])
+	}
+	wg.Wait()
 	return m, nil
 }
 
@@ -110,20 +130,21 @@ func (m *HashMap) bucketFor(key string) *bucket {
 	return &m.buckets[fnv1a(key)&m.mask]
 }
 
-// insertNode links n into the bucket's sorted list. Caller holds the
-// bucket lock; the key must not be present.
-func (b *bucket) insertNode(n *mapNode) {
-	prev := (*mapNode)(nil)
-	curr := b.head
-	for curr != nil && curr.key < n.key {
-		prev, curr = curr, curr.next
+// sortNodes puts the bucket's list in key order, using nodes as scratch
+// and returning it for reuse.
+func (b *bucket) sortNodes(nodes []*mapNode) []*mapNode {
+	if b.head == nil || b.head.next == nil {
+		return nodes
 	}
-	n.next = curr
-	if prev == nil {
-		b.head = n
-	} else {
-		prev.next = n
+	for n := b.head; n != nil; n = n.next {
+		nodes = append(nodes, n)
 	}
+	slices.SortFunc(nodes, func(x, y *mapNode) int { return strings.Compare(x.key, y.key) })
+	b.head = nil
+	for i := len(nodes) - 1; i >= 0; i-- {
+		nodes[i].next, b.head = b.head, nodes[i]
+	}
+	return nodes
 }
 
 // Get returns a copy of the value stored under key. Read-only
@@ -242,6 +263,7 @@ func (m *HashMap) put(tid int, key string, val []byte, wantPrev bool) (prev []by
 	} else {
 		prevNode.next = n
 	}
+	m.count.Add(1)
 	return nil, epoch, nil
 }
 
@@ -274,6 +296,7 @@ func (m *HashMap) Insert(tid int, key string, val []byte) (inserted bool, err er
 		} else {
 			prevNode.next = n
 		}
+		m.count.Add(1)
 		inserted = true
 		return nil
 	})
@@ -313,24 +336,31 @@ func (m *HashMap) RemoveE(tid int, key string) (removed bool, epoch uint64, err 
 		} else {
 			prevNode.next = curr.next
 		}
+		m.count.Add(-1)
 		removed = true
 		return nil
 	})
 	return removed, epoch, err
 }
 
-// Len counts the stored pairs (O(n); for tests and statistics).
-func (m *HashMap) Len() int {
-	n := 0
+// Len returns the number of stored pairs.
+func (m *HashMap) Len() int { return int(m.count.Load()) }
+
+// Range calls fn for every pair. val is borrowed from the payload and
+// valid only during the call, which runs under the pair's bucket lock:
+// fn must not call back into the map. Not linearizable against
+// concurrent updates.
+func (m *HashMap) Range(tid int, fn func(key string, val []byte)) {
 	for i := range m.buckets {
 		b := &m.buckets[i]
 		b.mu.Lock()
 		for curr := b.head; curr != nil; curr = curr.next {
-			n++
+			if val, ok := decodeVal(m.sys.Read(tid, curr.payload)); ok {
+				fn(curr.key, val)
+			}
 		}
 		b.mu.Unlock()
 	}
-	return n
 }
 
 // Snapshot returns the map's contents as a Go map. Intended for tests
@@ -338,16 +368,6 @@ func (m *HashMap) Len() int {
 // updates.
 func (m *HashMap) Snapshot(tid int) map[string][]byte {
 	out := make(map[string][]byte)
-	for i := range m.buckets {
-		b := &m.buckets[i]
-		b.mu.Lock()
-		for curr := b.head; curr != nil; curr = curr.next {
-			_, v, ok := decodeKV(m.sys.Read(tid, curr.payload))
-			if ok {
-				out[curr.key] = append([]byte(nil), v...)
-			}
-		}
-		b.mu.Unlock()
-	}
+	m.Range(tid, func(key string, val []byte) { out[key] = append([]byte(nil), val...) })
 	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"montage/internal/core"
 	"montage/internal/pmem"
+	"montage/internal/simclock"
 )
 
 func newSys(t *testing.T) *core.System {
@@ -480,4 +481,40 @@ func mapsEqual(a, b map[string][]byte) bool {
 		}
 	}
 	return true
+}
+
+// TestRecoverMoreWorkersThanThreads: the sweep and the rebuild use the
+// worker index as a thread id, so asking for more workers than the
+// system has thread ids must still give every chunk and every pair —
+// with a cost model, whose clock is sized for MaxThreads, and without.
+func TestRecoverMoreWorkersThanThreads(t *testing.T) {
+	costs := simclock.DefaultCosts()
+	for _, c := range []*simclock.Costs{nil, &costs} {
+		cfg := core.Config{ArenaSize: 1 << 22, MaxThreads: 2, Costs: c}
+		sys, err := core.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := NewHashMap(sys, 16)
+		for i := 0; i < 100; i++ {
+			if _, err := m.Put(i%2, fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Sync(0)
+		sys.Abandon()
+		sys.Device().Crash(pmem.CrashDropAll)
+		sys2, chunks, err := core.RecoverParallel(sys.Device(), cfg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := RecoverHashMap(sys2, 16, chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != 8 || m2.Len() != 100 || len(m2.Snapshot(0)) != 100 {
+			t.Fatalf("costs %v: %d chunks, Len %d, %d pairs; want 8, 100, 100", c != nil, len(chunks), m2.Len(), len(m2.Snapshot(0)))
+		}
+		sys2.Abandon()
+	}
 }

@@ -1,6 +1,9 @@
 package ralloc
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -189,7 +192,7 @@ func TestRecoverFindsPersistedBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, err := h2.Recover(2)
+	blocks, err := h2.Recover(2, math.MaxUint64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +223,7 @@ func TestRecoverReportsAllValidBlocks(t *testing.T) {
 
 	dev.Crash(pmem.CrashDropAll)
 	h2, _ := New(dev, 1, Options{})
-	blocks, err := h2.Recover(1)
+	blocks, err := h2.Recover(1, math.MaxUint64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,13 +250,13 @@ func TestFinishRecoveryRebuildsFreeLists(t *testing.T) {
 
 	dev.Crash(pmem.CrashDropAll)
 	h2, _ := New(dev, 1, Options{})
-	blocks, err := h2.Recover(1)
+	blocks, err := h2.Recover(1, math.MaxUint64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inUse := map[pmem.Addr]bool{}
+	inUse := h2.NewAddrSet()
 	for _, b := range blocks {
-		inUse[b.Addr] = true
+		inUse.Add(b.Addr)
 	}
 	h2.FinishRecovery(inUse)
 	if h2.Live() != 1 {
@@ -283,7 +286,7 @@ func TestRecoverSkipsTornBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2, _ := New(dev, 1, Options{})
-	blocks, err := h2.Recover(1)
+	blocks, err := h2.Recover(1, math.MaxUint64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +307,7 @@ func TestRecoverParallelWorkersEquivalent(t *testing.T) {
 	}
 	count := func(workers int) int {
 		h2, _ := New(dev, 4, Options{})
-		blocks, err := h2.Recover(workers)
+		blocks, err := h2.Recover(workers, math.MaxUint64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,5 +361,83 @@ func TestPropertyAllocFreeConservation(t *testing.T) {
 	}
 	if got := int(h.Live()) + h.FreeCount(); got != total {
 		t.Fatalf("conservation violated: %d != %d", got, total)
+	}
+}
+
+// TestRecoverOrderAndDataAcrossWorkers: whatever the worker count, the
+// sweep reports the same blocks in address order, and copies data only
+// for a block that can survive the cutoff.
+func TestRecoverOrderAndDataAcrossWorkers(t *testing.T) {
+	dev := pmem.NewDevice(1<<22, 4, nil)
+	h, _ := New(dev, 4, Options{})
+	const cutoff = 5
+	for i := 0; i < 1500; i++ { // several superblocks of two classes
+		hd := payload.Header{Epoch: uint64(3 + i%4), UID: uint64(i + 1), Typ: payload.Alloc}
+		if i%7 == 0 {
+			hd.Typ = payload.Delete
+		}
+		a, err := h.Alloc(0, 40+i%2*200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%5 != 0 { // every fifth slot stays unwritten: a gap to close
+			writeBlock(t, h, 0, a, hd, bytes.Repeat([]byte{byte(i)}, 40+i%2*200))
+		}
+	}
+	var want []Block
+	for _, workers := range []int{1, 3, 8} {
+		h2, _ := New(dev, 4, Options{})
+		got, err := h2.Recover(workers, cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range got {
+			if i > 0 && got[i-1].Addr >= b.Addr {
+				t.Fatalf("workers %d: block %d out of address order", workers, i)
+			}
+			if canSurvive := b.Header.Epoch <= cutoff && b.Header.Typ != payload.Delete; (b.Data != nil) != canSurvive {
+				t.Fatalf("workers %d: block %+v: data copied %v, can survive %v", workers, b.Header, b.Data != nil, canSurvive)
+			}
+			if b.Data != nil && (len(b.Data) != int(b.Header.Size) || b.Data[0] != byte(b.Header.UID-1)) {
+				t.Fatalf("workers %d: block %+v carries the wrong data", workers, b.Header)
+			}
+		}
+		if want == nil {
+			want = got
+		}
+		if len(got) != 1200 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers %d: %d blocks, differing from the one-worker sweep (%d)", workers, len(got), len(want))
+		}
+	}
+}
+
+// TestAddrSetOneBitPerBlock: blocks of every size class, the 96-byte one
+// that is no multiple of 64 included, land on bits of their own.
+func TestAddrSetOneBitPerBlock(t *testing.T) {
+	h := newHeap(t, 1<<22, 1)
+	set := h.NewAddrSet()
+	var addrs []pmem.Addr
+	for _, size := range []int{1, 40, 90, 150} {
+		for i := 0; i < 700; i++ {
+			a, err := h.Alloc(0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if set.Has(a) {
+				t.Fatalf("block %d (data size %d) shares a bit with an earlier block", a, size)
+			}
+			set.Add(a)
+			addrs = append(addrs, a)
+		}
+	}
+	for i, a := range addrs {
+		if i%2 == 0 {
+			set.Remove(a)
+		}
+	}
+	for i, a := range addrs {
+		if set.Has(a) != (i%2 == 1) {
+			t.Fatalf("block %d: Has = %v after removing every other block", a, set.Has(a))
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // This measures exactly the serving hot path — tokenize, dispatch,
 // kvstore, response render, enqueue, batch pop — with no goroutine
 // scheduling noise.
-func allocConn(t *testing.T, s *Server) *conn {
+func allocConn(t testing.TB, s *Server) *conn {
 	t.Helper()
 	cl, sv := net.Pipe()
 	go io.Copy(io.Discard, cl)
@@ -24,7 +24,7 @@ func allocConn(t *testing.T, s *Server) *conn {
 }
 
 // step feeds one request through ingest and drains the response queue.
-func (c *conn) step(t *testing.T, req []byte) {
+func (c *conn) step(t testing.TB, req []byte) {
 	c.in = append(c.in, req...)
 	if err := c.ingest(0); err != nil {
 		t.Fatalf("ingest: %v", err)

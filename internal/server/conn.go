@@ -368,7 +368,7 @@ func (c *conn) dispatchLine(line []byte, tid int) error {
 		rec.Inc(c.rtid, obs.CNetOpsAdmin)
 		s := c.srv
 		s.mu.RLock()
-		data := c.statsBody(s.cur, tid)
+		data := c.statsBody(s.cur)
 		s.mu.RUnlock()
 		c.enqueue(newPending(data, nil))
 		return nil
@@ -792,7 +792,7 @@ func (c *conn) doFlushAll(args [][]byte, tid int) {
 // statsBody renders the stats command: cache counters, the epoch clock
 // and its persistence watermark, and the server's ack/pipeline metrics.
 // Called under the read lock.
-func (c *conn) statsBody(r *rt, tid int) []byte {
+func (c *conn) statsBody(r *rt) []byte {
 	var buf bytes.Buffer
 	put := func(k string, v interface{}) { fmt.Fprintf(&buf, "STAT %s %v\r\n", k, v) }
 
@@ -809,7 +809,7 @@ func (c *conn) statsBody(r *rt, tid int) []byte {
 	put("cas_badval", st.CASMisses.Load())
 	put("evictions", st.Evictions.Load())
 	put("expired_unfetched", st.Expirations.Load())
-	put("curr_items", len(r.store.Keys(tid)))
+	put("curr_items", r.store.Len())
 	if r.pool != nil {
 		// Shard 0's clock keeps the historic flat keys meaningful (and,
 		// with one shard, identical to the pre-pool output); multi-shard
@@ -839,6 +839,10 @@ func (c *conn) statsBody(r *rt, tid int) []byte {
 		put("park_waiters", snap.Server.ParkWaiters)
 		put("park_fanout_p99", snap.Latency.ParkFanout.P99)
 		put("crash_injections", snap.Server.Crashes)
+		put("recovery_sweep_ns", snap.Runtime.RecoverySweepNs)
+		put("recovery_filter_ns", snap.Runtime.RecoveryFilterNs)
+		put("recovery_invalidate_ns", snap.Runtime.RecoveryInvalNs)
+		put("recovery_rebuild_ns", snap.Runtime.RecoveryRebuildNs)
 		put("flushes", snap.Server.Flushes)
 		put("flush_batch_p99", snap.Latency.FlushBatch.P99)
 		put("parse_allocs", snap.Server.ParseAllocs)

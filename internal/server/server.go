@@ -464,7 +464,7 @@ func (s *Server) Crash(mode pmem.CrashMode) (survivors int, err error) {
 	}
 	s.cur = newMontageRT(p, store, s.rec, s.adminTid)
 	s.rec.Inc(s.adminTid, obs.CNetCrashes)
-	return len(store.Keys(s.adminTid)), nil
+	return store.Len(), nil
 }
 
 // Kill crash-stops the whole node, as a cluster chaos schedule (or an

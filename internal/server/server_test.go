@@ -263,19 +263,7 @@ func TestStatsAndFlushAll(t *testing.T) {
 
 	c.send("set a 0 0 1\r\nx\r\nset b 0 0 1\r\ny\r\n")
 	c.expect("STORED", "STORED")
-	c.send("stats\r\n")
-	stats := map[string]string{}
-	for {
-		line := c.line()
-		if line == "END" {
-			break
-		}
-		f := strings.Fields(line)
-		if len(f) != 3 || f[0] != "STAT" {
-			t.Fatalf("bad stat line %q", line)
-		}
-		stats[f[1]] = f[2]
-	}
+	stats := c.stats()
 	if stats["curr_items"] != "2" {
 		t.Fatalf("curr_items = %q", stats["curr_items"])
 	}
