@@ -12,26 +12,6 @@
 //
 // Figures: 4, 5, 6, 7a, 7b, 8a, 8b, 9, 10, 11, 12, recovery, all.
 // Scales: quick, default, paper.
-//
-// Two subcommands wrap the continuous-regression harness
-// (internal/benchsuite):
-//
-//	montage-bench run-suite -quick -out BENCH_head.json
-//	montage-bench compare BENCH_6.json BENCH_head.json
-//
-// run-suite executes the suite's sections and writes a versioned
-// machine-readable BENCH artifact; compare diffs two artifacts under
-// per-metric tolerance bands and exits nonzero on regression.
-//
-// The extra "net" figure benchmarks the TCP front end (internal/server)
-// on loopback, sweeping the three durability-ack modes across
-// connection counts in real wall-clock time; "shard" sweeps the pool's
-// shard count (independent epoch domains) under the same loadgen.
-// Neither is part of "all" because their numbers depend on the host,
-// not the simulated device. "writeback" profiles the device's
-// write-combining pipeline (combine ratio and serial-vs-parallel drain)
-// under a write-only zipfian load; it runs on virtual time but is kept
-// out of "all" as a device-tuning figure rather than a paper figure.
 package main
 
 import (
@@ -61,20 +41,8 @@ type rowRecord struct {
 }
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "run-suite":
-			os.Exit(runSuiteMain(os.Args[2:]))
-		case "compare":
-			os.Exit(compareMain(os.Args[2:]))
-		}
-	}
-	legacyMain()
-}
-
-func legacyMain() {
 	var (
-		figure  = flag.String("figure", "all", "figure to regenerate: 4,5,6,7a,7b,8a,8b,9,10,11,12,recovery,net,shard,cluster,writeback,all")
+		figure  = flag.String("figure", "all", "figure to regenerate: 4,5,6,7a,7b,8a,8b,9,10,11,12,recovery,all")
 		scale   = flag.String("scale", "default", "workload scale: quick, default, paper")
 		systems = flag.String("systems", "", "comma-separated subset of systems (default: all for the figure)")
 		threads = flag.String("threads", "", "comma-separated thread counts (default: scale's list)")
@@ -176,14 +144,6 @@ func legacyMain() {
 			rs, err = bench.Fig12Recovery(sc, *dataDir)
 		case "recovery":
 			rs, err = bench.RecoveryHashmap(sc, nil, nil)
-		case "net":
-			rs, err = bench.FigNet(sc, nil, nil)
-		case "shard":
-			rs, err = bench.FigShard(sc, nil, nil)
-		case "cluster":
-			rs, err = bench.FigCluster(sc, nil, nil)
-		case "writeback":
-			rs, err = bench.FigWriteback(sc, nil)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
 			os.Exit(2)

@@ -20,7 +20,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"montage/internal/obs"
 	"montage/internal/simclock"
@@ -57,22 +56,10 @@ type Scale struct {
 	GraphDegree int
 	// Seed drives all workload randomness.
 	Seed int64
-	// LoadDuration is the timed-phase length of the wall-clock loadgen
-	// figures (net, shard); 0 means 1s. The benchsuite shortens it for
-	// quick CI runs.
-	LoadDuration time.Duration
 	// Recorder, when non-nil, is shared by every Montage system the
 	// harness builds, so one JSON stats stream covers a whole run and
 	// each benchmark row can carry the interval's runtime counters.
 	Recorder *obs.Recorder
-}
-
-// loadDuration is LoadDuration with its default applied.
-func (s Scale) loadDuration() time.Duration {
-	if s.LoadDuration <= 0 {
-		return time.Second
-	}
-	return s.LoadDuration
 }
 
 // DefaultScale returns the laptop-scale configuration.

@@ -12,11 +12,10 @@ import (
 )
 
 // This file is the live half of the metrics pipeline: the same Snapshot
-// (or Merge of per-shard snapshots) that feeds the JSONL sampler and the
-// BENCH artifacts is rendered in the Prometheus text exposition format
-// (version 0.0.4), so a scraper pointed at a running montage-serve,
-// montage-load, or suite run sees exactly the numbers the offline
-// artifacts record.
+// (or Merge of per-shard snapshots) that feeds the JSONL sampler is
+// rendered in the Prometheus text exposition format (version 0.0.4), so
+// a scraper pointed at a running montage-serve or montage-load sees
+// exactly the numbers the stats files record.
 //
 // Naming: every counter becomes montage_<group>_<name>_total, derived
 // gauges (pending work, blocks in use) become montage_<group>_<name>,

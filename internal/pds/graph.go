@@ -442,6 +442,7 @@ func RecoverGraphTagged(sys *core.System, nStripes int, chunks [][]*core.PBlk, t
 	vertBuf := make([][][]vertRec, workers) // [from][to]
 	edgeBuf := make([][][]edgeRec, workers)
 	errs := make([]error, workers)
+	threads := sys.Epochs().Config().MaxThreads
 	var wg sync.WaitGroup
 	for w := range chunks {
 		wg.Add(1)
@@ -449,8 +450,9 @@ func RecoverGraphTagged(sys *core.System, nStripes int, chunks [][]*core.PBlk, t
 			defer wg.Done()
 			vertBuf[w] = make([][]vertRec, workers)
 			edgeBuf[w] = make([][]edgeRec, workers)
+			tid := w % threads
 			for _, p := range chunks[w] {
-				data := sys.Read(w, p)
+				data := sys.Read(tid, p)
 				if len(data) == 0 {
 					errs[w] = fmt.Errorf("%w: empty graph payload", ErrCorruptPayload)
 					return

@@ -49,14 +49,16 @@ func RecoverLFHashMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*L
 // RecoverLFHashMapTagged rebuilds the map from payloads carrying tag.
 func RecoverLFHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk, tag uint16) (*LFHashMap, error) {
 	m := NewLFHashMapTagged(sys, nBuckets, tag)
+	threads := sys.Epochs().Config().MaxThreads
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for w, chunk := range chunks {
 		wg.Add(1)
 		go func(w int, chunk []*core.PBlk) {
 			defer wg.Done()
+			tid := w % threads
 			for _, p := range core.FilterByTag(chunk, tag) {
-				key, _, ok := decodeKV(sys.Read(w, p))
+				key, _, ok := decodeKV(sys.Read(tid, p))
 				if !ok {
 					errs[w] = ErrCorruptPayload
 					return
@@ -64,7 +66,7 @@ func RecoverLFHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBl
 				b := m.bucket(key)
 				node := &lfsNode{key: key, payload: p}
 				for {
-					prev, curr := b.find(w, key)
+					prev, curr := b.find(tid, key)
 					if curr != nil && curr.key == key {
 						break
 					}

@@ -47,21 +47,23 @@ func RecoverLFSetTagged(sys *core.System, chunks [][]*core.PBlk, tag uint16) (*L
 		filtered[i] = core.FilterByTag(c, tag)
 	}
 	chunks = filtered
+	threads := sys.Epochs().Config().MaxThreads
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for w, chunk := range chunks {
 		wg.Add(1)
 		go func(w int, chunk []*core.PBlk) {
 			defer wg.Done()
+			tid := w % threads
 			for _, p := range chunk {
-				key, _, ok := decodeKV(sys.Read(w, p))
+				key, _, ok := decodeKV(sys.Read(tid, p))
 				if !ok {
 					errs[w] = ErrCorruptPayload
 					return
 				}
 				node := &lfsNode{key: key, payload: p}
 				for {
-					prev, curr := s.find(w, key)
+					prev, curr := s.find(tid, key)
 					if curr != nil && curr.key == key {
 						break // duplicate uid impossible; defensive
 					}

@@ -60,19 +60,21 @@ func RecoverLFSkipList(sys *core.System, chunks [][]*core.PBlk) (*LFSkipList, er
 // RecoverLFSkipListTagged rebuilds the map from payloads carrying tag.
 func RecoverLFSkipListTagged(sys *core.System, chunks [][]*core.PBlk, tag uint16) (*LFSkipList, error) {
 	m := NewLFSkipListTagged(sys, tag)
+	threads := sys.Epochs().Config().MaxThreads
 	errs := make([]error, len(chunks))
 	var wg sync.WaitGroup
 	for w, chunk := range chunks {
 		wg.Add(1)
 		go func(w int, chunk []*core.PBlk) {
 			defer wg.Done()
+			tid := w % threads
 			for _, p := range core.FilterByTag(chunk, tag) {
-				key, _, ok := decodeKV(sys.Read(w, p))
+				key, _, ok := decodeKV(sys.Read(tid, p))
 				if !ok {
 					errs[w] = ErrCorruptPayload
 					return
 				}
-				if !m.insertNode(w, key, p) {
+				if !m.insertNode(tid, key, p) {
 					errs[w] = ErrCorruptPayload // duplicate key in recovery set
 					return
 				}

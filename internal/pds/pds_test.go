@@ -483,38 +483,123 @@ func mapsEqual(a, b map[string][]byte) bool {
 	return true
 }
 
-// TestRecoverMoreWorkersThanThreads: the sweep and the rebuild use the
-// worker index as a thread id, so asking for more workers than the
-// system has thread ids must still give every chunk and every pair —
-// with a cost model, whose clock is sized for MaxThreads, and without.
+// TestRecoverMoreWorkersThanThreads: the sweep and every rebuild run one
+// worker per chunk, so asking for more workers than the system has
+// thread ids must still give every chunk and every item — with a cost
+// model, whose clock is sized for MaxThreads, and without.
 func TestRecoverMoreWorkersThanThreads(t *testing.T) {
-	costs := simclock.DefaultCosts()
-	for _, c := range []*simclock.Costs{nil, &costs} {
-		cfg := core.Config{ArenaSize: 1 << 22, MaxThreads: 2, Costs: c}
-		sys, err := core.NewSystem(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := NewHashMap(sys, 16)
-		for i := 0; i < 100; i++ {
-			if _, err := m.Put(i%2, fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
-				t.Fatal(err)
+	const n = 100
+	fillKV := func(insert func(tid int, key string, val []byte) error) error {
+		for i := 0; i < n; i++ {
+			if err := insert(i%2, fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
+				return err
 			}
 		}
-		sys.Sync(0)
-		sys.Abandon()
-		sys.Device().Crash(pmem.CrashDropAll)
-		sys2, chunks, err := core.RecoverParallel(sys.Device(), cfg, 8)
-		if err != nil {
-			t.Fatal(err)
+		return nil
+	}
+	// sized cross-checks a rebuilt map's count against its pairs.
+	sized := func(length int, pairs map[string][]byte) (int, error) {
+		if length != len(pairs) {
+			return 0, fmt.Errorf("Len %d but %d pairs", length, len(pairs))
 		}
-		m2, err := RecoverHashMap(sys2, 16, chunks)
-		if err != nil {
-			t.Fatal(err)
+		return length, nil
+	}
+	rebuilds := []struct {
+		name    string
+		fill    func(sys *core.System) error
+		rebuild func(sys *core.System, chunks [][]*core.PBlk) (int, error) // items recovered
+		want    int
+	}{
+		{"HashMap", func(sys *core.System) error {
+			m := NewHashMap(sys, 16)
+			return fillKV(func(tid int, k string, v []byte) error { _, err := m.Put(tid, k, v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) (int, error) {
+			m, err := RecoverHashMap(sys, 16, chunks)
+			if err != nil {
+				return 0, err
+			}
+			return sized(m.Len(), m.Snapshot(0))
+		}, n},
+		{"LFHashMap", func(sys *core.System) error {
+			m := NewLFHashMap(sys, 16)
+			return fillKV(func(tid int, k string, v []byte) error { _, err := m.Insert(tid, k, v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) (int, error) {
+			m, err := RecoverLFHashMap(sys, 16, chunks)
+			if err != nil {
+				return 0, err
+			}
+			return sized(m.Len(), m.Snapshot(0))
+		}, n},
+		{"LFSet", func(sys *core.System) error {
+			s := NewLFSet(sys)
+			return fillKV(func(tid int, k string, v []byte) error { _, err := s.Insert(tid, k, v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) (int, error) {
+			s, err := RecoverLFSet(sys, chunks)
+			if err != nil {
+				return 0, err
+			}
+			return sized(s.Len(), s.Snapshot(0))
+		}, n},
+		{"LFSkipList", func(sys *core.System) error {
+			m := NewLFSkipList(sys)
+			return fillKV(func(tid int, k string, v []byte) error { _, err := m.Insert(tid, k, v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) (int, error) {
+			m, err := RecoverLFSkipList(sys, chunks)
+			if err != nil {
+				return 0, err
+			}
+			return sized(m.Len(), m.Snapshot(0))
+		}, n},
+		{"Graph", func(sys *core.System) error {
+			// n vertices on a path of n-1 edges.
+			g := NewGraph(sys, 16)
+			for i := 0; i < n; i++ {
+				if _, err := g.AddVertex(i%2, uint64(i), []byte("a"), nil); err != nil {
+					return err
+				}
+			}
+			for i := 0; i+1 < n; i++ {
+				if _, err := g.AddEdge(i%2, uint64(i), uint64(i+1), []byte("e")); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(sys *core.System, chunks [][]*core.PBlk) (int, error) {
+			g, err := RecoverGraph(sys, 16, chunks)
+			if err != nil {
+				return 0, err
+			}
+			return g.Order() + g.SizeEdges(), nil
+		}, 2*n - 1},
+	}
+	costs := simclock.DefaultCosts()
+	for _, rb := range rebuilds {
+		for _, c := range []*simclock.Costs{nil, &costs} {
+			t.Run(fmt.Sprintf("%s/costs=%v", rb.name, c != nil), func(t *testing.T) {
+				cfg := core.Config{ArenaSize: 1 << 22, MaxThreads: 2, Costs: c}
+				sys, err := core.NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rb.fill(sys); err != nil {
+					t.Fatal(err)
+				}
+				sys.Sync(0)
+				sys.Abandon()
+				sys.Device().Crash(pmem.CrashDropAll)
+				sys2, chunks, err := core.RecoverParallel(sys.Device(), cfg, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys2.Abandon()
+				got, err := rb.rebuild(sys2, chunks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(chunks) != 8 || got != rb.want {
+					t.Fatalf("%d chunks, %d items; want 8, %d", len(chunks), got, rb.want)
+				}
+			})
 		}
-		if len(chunks) != 8 || m2.Len() != 100 || len(m2.Snapshot(0)) != 100 {
-			t.Fatalf("costs %v: %d chunks, Len %d, %d pairs; want 8, 100, 100", c != nil, len(chunks), m2.Len(), len(m2.Snapshot(0)))
-		}
-		sys2.Abandon()
 	}
 }

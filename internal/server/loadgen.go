@@ -55,15 +55,6 @@ type LoadConfig struct {
 	NodeRouter func(key string) int
 	// NodeCount is the cluster width NodeRouter maps into.
 	NodeCount int
-	// NodeAffine restricts each connection's timed-phase keys to the ones
-	// NodeRouter assigns to node (conn % NodeCount), the way routing-aware
-	// memcached clients keep each pipeline on one backend. Through the
-	// proxy this keeps a connection's in-order response stream parked on a
-	// single node's epoch clock: multiplexing one pipeline across nodes
-	// makes every response wait for the slowest node's epoch boundary
-	// (staggered clocks, in-order delivery), which measures the stagger,
-	// not the fleet.
-	NodeAffine bool
 	// Recorder, when non-nil, receives the client-side counters
 	// (obs.CLoad*) and the per-request latency histogram (obs.HLoadNs).
 	// Sharing the server's recorder puts both halves of a run in one
@@ -150,7 +141,6 @@ type LoadResult struct {
 	// phase deliberately excludes (interesting at 10k connections).
 	Ramp time.Duration
 	P50  time.Duration
-	P90  time.Duration
 	P95  time.Duration
 	P99  time.Duration
 	Max  time.Duration
@@ -385,7 +375,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
 	}
 	res.P50 = time.Duration(lat.Percentile(0.50))
-	res.P90 = time.Duration(lat.Percentile(0.90))
 	res.P95 = time.Duration(lat.Percentile(0.95))
 	res.P99 = time.Duration(lat.Percentile(0.99))
 	res.Max = time.Duration(lat.Max)
@@ -460,25 +449,20 @@ func runLoadConn(cfg LoadConfig, id int, rec *obs.Recorder, st *connStats, signa
 	if cfg.NodeRouter != nil && cfg.NodeCount > 1 {
 		st.nodeOps = make([]uint64, cfg.NodeCount)
 	}
-	affine := cfg.NodeAffine && cfg.NodeRouter != nil && cfg.NodeCount > 1
-	myNode := id % max(cfg.NodeCount, 1)
 	inflight := make(chan reqToken, cfg.Pipeline)
 	readerDone := make(chan error, 1)
 	go func() { readerDone <- loadReader(br, inflight, rec, tid, st) }()
 
+	// The send loop ends at the deadline, on a failed flush, or when the
+	// reader returns early (an error reply): nothing drains inflight after
+	// that, so a sender blocked on a full pipeline would wait forever.
 	deadline := time.Now().Add(cfg.Duration)
 	sinceFlush := 0
-	var sendErr error
+	var sendErr, readErr error
+	readerExited := false
+send:
 	for time.Now().Before(deadline) {
 		op := w.Next()
-		if affine {
-			// Redraw until the key lives on this connection's node; the
-			// ring's ±15% balance bounds the expected redraws near
-			// NodeCount. Preload covered every record, so reads still hit.
-			for cfg.NodeRouter(op.Key) != myNode {
-				op = w.Next()
-			}
-		}
 		if st.shardOps != nil {
 			st.shardOps[pool.ShardForKey(op.Key, cfg.Shards)]++
 		}
@@ -507,7 +491,7 @@ func runLoadConn(cfg LoadConfig, id int, rec *obs.Recorder, st *connStats, signa
 			sinceFlush++
 			if sinceFlush >= 16 {
 				if sendErr = bw.Flush(); sendErr != nil {
-					break
+					break send
 				}
 				sinceFlush = 0
 			}
@@ -515,20 +499,28 @@ func runLoadConn(cfg LoadConfig, id int, rec *obs.Recorder, st *connStats, signa
 			// The pipeline is full: everything buffered must reach the
 			// server before we block, or the reader starves.
 			if sendErr = bw.Flush(); sendErr != nil {
-				break
+				break send
 			}
 			sinceFlush = 0
-			inflight <- tok
+			select {
+			case inflight <- tok:
+			case readErr = <-readerDone:
+				readerExited = true
+				break send
+			}
 		}
 	}
-	if sendErr == nil {
+	if sendErr == nil && !readerExited {
 		sendErr = bw.Flush()
 	}
 	close(inflight)
-	if rerr := <-readerDone; rerr != nil && sendErr == nil {
-		sendErr = rerr
+	if !readerExited {
+		readErr = <-readerDone
 	}
-	return sendErr
+	if sendErr != nil {
+		return sendErr
+	}
+	return readErr
 }
 
 // loadReader drains responses for every in-flight token, recording
