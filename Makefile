@@ -21,17 +21,20 @@ test: vet serve-smoke
 # fails at all, so it gets five extra runs. The server's TestAllocs* gates
 # are skipped: under the race detector sync.Pool drops items at random,
 # so "0 allocs/op" cannot hold; conns-smoke runs them without -race. The
-# reactor's window tests (an ack settling under a running pump, throttle
+# window tests (an ack settling under a running pump, throttle
 # park/resume, a slow reader under the lot subscriber, a hang-up behind
-# data) get ten extra runs.
+# data), on the reactor and on the stream source, get ten extra runs.
 race:
 	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/cluster ./internal/chaos
 	$(GO) test -race -count 5 -run TestHashMapMixedSyncCrashRecover ./internal/pds
-	$(GO) test -race -count 10 -run 'TestAckSettlesUnderRunningPump|TestThrottleStallReactor|TestSlowReaderDoesNotHoldTheLot|TestHangUpBehindDataClosesConn' ./internal/server
+	$(GO) test -race -count 10 -run 'TestAckSettlesUnderRunningPump|TestThrottleStallReactor|TestSlowReaderDoesNotHoldTheLot|TestHangUpBehindDataClosesConn|TestStreamSourceWindows' ./internal/server
 
-# go vet, lint-dead, and any file gofmt would rewrite.
+# go vet, lint-dead, and any file gofmt would rewrite. The serving
+# packages are vetted for darwin too: off Linux every connection runs on
+# the stream source, and that build must not rot unseen.
 vet: lint-dead
 	$(GO) vet ./...
+	GOOS=darwin $(GO) vet ./internal/server ./internal/cluster ./cmd/montage-serve ./cmd/montage-proxy
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: the files above are not formatted'; exit 1; }
 
 # The nonblocking epoch engine and its lazy-persist layer were deleted,
@@ -40,13 +43,20 @@ vet: lint-dead
 # the server go back to counting or listing keys by copying every value:
 # no HashMap.Snapshot in kvstore, no len(Keys()) on the serving path.
 # The legacy BENCH_<n> suite, its committed baselines and its non-paper
-# figures are gone too: benchmark/ is the one end-to-end harness.
+# figures are gone too: benchmark/ is the one end-to-end harness. So is
+# the server's second connection driver (a blocking read loop and a
+# fallback writer): every connection runs the one pump over a source.
+# And the protocol vocabulary lives once, in internal/memtext: no
+# package keeps its own line reader, storage-header parser or
+# error-line builders.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
 	@! grep -nE '\.Snapshot\(tid\)|len\([a-zA-Z.]*Keys\(' internal/kvstore/kvstore.go internal/kvstore/sharded.go internal/server/conn.go internal/server/server.go
 	@! grep -rnE 'benchsuite|runSuiteMain|compareMain|Fig(Net|Shard|Cluster|Conns|Writeback)|NodeAffine|LoadDuration' --include='*.go' .
 	@! ls BENCH_[0-9]*.json 2>/dev/null
+	@! grep -rnE 'readLoop|fallbackWriter|runBlocking|closeNow|popReadyLocked|flushRaw|wcond|splitFields' --include='*.go' internal cmd
+	@! grep -rnE 'func (readLine|clientError|serverError|hasNoreply|parseStorage)' --include='*.go' internal cmd
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

@@ -12,6 +12,7 @@ import (
 
 	"montage/internal/core"
 	"montage/internal/kvstore"
+	"montage/internal/memtext"
 	"montage/internal/pmem"
 	"montage/internal/pool"
 	"montage/internal/server"
@@ -428,7 +429,7 @@ func TestProxyMultiGetDeadNodeDrainsHealthy(t *testing.T) {
 func TestProxyOversizeStoreKeepsConnection(t *testing.T) {
 	_, px := startCluster(t, 1, false, time.Second)
 	c := dialT(t, px.Addr().String())
-	n := maxBodyLen - 1 // n+2 > maxBodyLen
+	n := memtext.MaxBodyLen - 1 // n+2 > MaxBodyLen
 	body := strings.Repeat("x", n) + "\r\n"
 	c.write(fmt.Sprintf("set big 0 0 %d\r\n", n))
 	c.write(body)
@@ -443,6 +444,50 @@ func TestProxyOversizeStoreKeepsConnection(t *testing.T) {
 	c.set("small", "ok")
 	if v, ok := c.get("small"); !ok || v != "ok" {
 		t.Fatalf("set after oversize = %q,%v", v, ok)
+	}
+}
+
+// TestProxyFramesLikeTheServer sends one byte stream straight to a node
+// and through the proxy and requires the same responses: both frame
+// with internal/memtext. Two shapes they once framed differently: a
+// storage header with a malformed flags, exptime or cas field (the
+// proxy forwarded it with its body; the node refused the header and ran
+// the body as a command, so one request drew two responses and every
+// later response on that link answered the command before it), and a
+// line of exactly MaxLineLen bytes (served by the node, refused as too
+// long by the proxy).
+func TestProxyFramesLikeTheServer(t *testing.T) {
+	nodes, px := startCluster(t, 1, false, time.Second)
+	longest := "get k" + strings.Repeat(" ", memtext.MaxLineLen-len("get k\r")) + "\r\n"
+	script := "set k notanumber 0 1\r\nx\r\n" +
+		"set k 0 soon 1\r\nx\r\n" +
+		"cas k 0 0 1 notacas\r\nx\r\n" +
+		longest +
+		"set k 0 0 1\r\ny\r\n" +
+		"get k\r\n"
+	want := []string{
+		"CLIENT_ERROR bad flags", "ERROR",
+		"CLIENT_ERROR bad exptime", "ERROR",
+		"CLIENT_ERROR bad cas value", "ERROR",
+		"END",
+		"STORED",
+		"VALUE k 0 1", "y", "END",
+	}
+	for _, ep := range []struct{ name, addr string }{
+		{"node", nodes[0].Addr().String()},
+		{"proxy", px.Addr().String()},
+	} {
+		c := dialT(t, ep.addr)
+		c.write(script)
+		for i, w := range want {
+			if got := c.line(); got != w {
+				t.Fatalf("%s: response line %d = %q, want %q", ep.name, i, got, w)
+			}
+		}
+		c.write("flush_all\r\n")
+		if got := c.line(); got != "OK" {
+			t.Fatalf("%s: flush_all: %q", ep.name, got)
+		}
 	}
 }
 

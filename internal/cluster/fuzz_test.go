@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"montage/internal/memtext"
 	"montage/internal/server"
 )
 
@@ -58,23 +59,23 @@ func getFuzzProxy(f *testing.F) *Proxy {
 func FuzzProxyProtocol(f *testing.F) {
 	seeds := []string{
 		"set k 0 0 5\r\nhello\r\nget k\r\n",
-		"set k 0 0 5\r\nhel",                       // torn body
-		"set k 0 0 99999999\r\n",                   // oversized declared length
-		"set k 0 0 2147483647\r\nx\r\n",            // over body cap: swallowed in chunks, never allocated whole
-		"set k 0 0 -1\r\nx\r\n",                    // negative length
-		"set k 0 0 notanum\r\nx\r\n",               // bad number
-		"\x00\x01\x02 bad magic\r\n",               // binary-protocol magic byte
-		"get\r\nget \r\n gets\r\n",                 // missing keys
-		"get " + strings.Repeat("k", 300) + "\r\n", // oversized key
-		strings.Repeat("a ", maxLineLen) + "\r\n",  // unframeable line
-		"cas k 0 0 1 notacas\r\nx\r\n",             // bad cas token
-		"set k 0 0 2\r\nvvNOPE\r\n",                // missing CRLF terminator
-		"delete\r\ndelete k extra args here\r\n",   // bad arity
-		"touch k\r\ntouch k notanum\r\n",           // bad touch args
-		"durability warp-speed\r\nflush_all x\r\n", // bad extension args
-		"quit\r\nset k 0 0 1\r\nx\r\n",             // commands after quit
-		"set k 0 0 1 noreply\r\nx\r\nbogus\r\n",    // noreply then junk
-		"\r\n\r\n\r\nversion\r\n",                  // blank lines
+		"set k 0 0 5\r\nhel",                              // torn body
+		"set k 0 0 99999999\r\n",                          // oversized declared length
+		"set k 0 0 2147483647\r\nx\r\n",                   // over body cap: swallowed in chunks, never allocated whole
+		"set k 0 0 -1\r\nx\r\n",                           // negative length
+		"set k 0 0 notanum\r\nx\r\n",                      // bad number
+		"\x00\x01\x02 bad magic\r\n",                      // binary-protocol magic byte
+		"get\r\nget \r\n gets\r\n",                        // missing keys
+		"get " + strings.Repeat("k", 300) + "\r\n",        // oversized key
+		strings.Repeat("a ", memtext.MaxLineLen) + "\r\n", // unframeable line
+		"cas k 0 0 1 notacas\r\nx\r\n",                    // bad cas token
+		"set k 0 0 2\r\nvvNOPE\r\n",                       // missing CRLF terminator
+		"delete\r\ndelete k extra args here\r\n",          // bad arity
+		"touch k\r\ntouch k notanum\r\n",                  // bad touch args
+		"durability warp-speed\r\nflush_all x\r\n",        // bad extension args
+		"quit\r\nset k 0 0 1\r\nx\r\n",                    // commands after quit
+		"set k 0 0 1 noreply\r\nx\r\nbogus\r\n",           // noreply then junk
+		"\r\n\r\n\r\nversion\r\n",                         // blank lines
 		"stats\r\nversion\r\nverbosity 1 noreply\r\n",
 		"get a b c d\r\nset a 0 0 1\r\nz\r\nsync\r\n", // multiget + broadcast
 		"durability epoch-wait\r\nset k 0 0 1\r\nv\r\nflush_all\r\n",

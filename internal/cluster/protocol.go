@@ -1,42 +1,17 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
-	"fmt"
 
 	"montage/internal/memtext"
 )
 
-// Protocol limits, matching internal/server: the proxy must frame
-// exactly the byte stream the backends frame, or a disagreement about
-// where a request ends would desynchronize every response behind it.
-const (
-	maxKeyLen = 250
-	// maxLineLen bounds one command line; longer lines are unrecoverable
-	// framing damage (the request boundary is unknown) and close the
-	// connection, exactly as the server does.
-	maxLineLen = 8192
-	// maxBodyLen bounds one item body the proxy will buffer for
-	// forwarding. The backend enforces its own MaxItemSize and answers
-	// "object too large"; the proxy's bound only exists so a hostile
-	// declared length cannot make it allocate without limit.
-	maxBodyLen = 16 << 20
-)
-
-// Canonical responses the proxy produces locally (everything else is
-// relayed verbatim from a backend).
-var (
-	respOK          = []byte("OK\r\n")
-	respEnd         = []byte("END\r\n")
-	respError       = []byte("ERROR\r\n")
-	respTooManyConn = []byte("SERVER_ERROR too many connections\r\n")
-)
+// The proxy frames client and backend streams with internal/memtext,
+// the vocabulary the backends use: a disagreement about where a request
+// ends would desynchronize every response behind it. What is here is
+// the proxy's own.
 
 var (
-	// errProtocol marks unrecoverable framing damage on the client side.
-	errProtocol = errors.New("cluster: protocol framing error")
 	// errQuit is the clean "quit" exit from the command loop.
 	errQuit = errors.New("cluster: client quit")
 	// errNodeDown marks a backend request that failed because its node is
@@ -44,41 +19,13 @@ var (
 	errNodeDown = errors.New("cluster: node down")
 )
 
-func clientError(msg string) []byte {
-	return []byte("CLIENT_ERROR " + msg + "\r\n")
-}
-
-func serverError(msg string) []byte {
-	return []byte("SERVER_ERROR " + msg + "\r\n")
-}
-
 // nodeError is the proxy's answer for a request bound to a dead node.
 // It is deliberately a SERVER_ERROR: the history checker treats those
 // as non-binding acks, which is exactly right — the write may or may
 // not have been applied before the node died, and the proxy never
 // resends (a resend could double-apply).
 func nodeError(addr string) []byte {
-	return serverError("node " + addr + " unavailable")
-}
-
-// readLine reads one CRLF-terminated line (tolerating bare LF),
-// returning it without the terminator plus the bytes consumed.
-func readLine(br *bufio.Reader) ([]byte, int, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, len(line), errProtocol
-		}
-		return nil, len(line), err
-	}
-	n := len(line)
-	line = line[:len(line)-1]
-	line = bytes.TrimSuffix(line, []byte("\r"))
-	return line, n, nil
-}
-
-func hasNoreply(args [][]byte) bool {
-	return len(args) > 0 && string(args[len(args)-1]) == "noreply"
+	return memtext.ServerError("node " + addr + " unavailable")
 }
 
 // validMode reports whether s names a durability-ack mode, mirroring
@@ -90,43 +37,4 @@ func validMode(s []byte) bool {
 		return true
 	}
 	return false
-}
-
-// storageHead is the routing-relevant prefix of a storage command: the
-// proxy needs the key (to pick a node) and the declared body size (to
-// stay framed); flags, exptime, and cas travel through verbatim.
-type storageHead struct {
-	key     string
-	bytes   int
-	noreply bool
-}
-
-// parseStorageHead parses "<key> <flags> <exptime> <bytes> [casid]
-// [noreply]" fields (verb already stripped, borrowed from the reader's
-// buffer) just far enough to route and frame. The key is materialized:
-// routing happens after the body read clobbers the buffer the fields
-// alias.
-func parseStorageHead(fields [][]byte, wantCAS bool) (storageHead, error) {
-	var h storageHead
-	n := 4
-	if wantCAS {
-		n = 5
-	}
-	if len(fields) == n+1 && string(fields[n]) == "noreply" {
-		h.noreply = true
-		fields = fields[:n]
-	}
-	if len(fields) != n {
-		return h, fmt.Errorf("bad command line format")
-	}
-	if !memtext.ValidKey(fields[0]) {
-		return h, fmt.Errorf("bad key")
-	}
-	h.key = string(fields[0])
-	sz, ok := memtext.ParseUint(fields[3], 31)
-	if !ok {
-		return h, fmt.Errorf("bad data length")
-	}
-	h.bytes = int(sz)
-	return h, nil
 }

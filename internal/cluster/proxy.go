@@ -158,7 +158,7 @@ func (p *Proxy) Serve() error {
 		select {
 		case tid = <-p.tids:
 		default:
-			nc.Write(respTooManyConn)
+			nc.Write(memtext.RespTooManyConns)
 			nc.Close()
 			continue
 		}
@@ -337,7 +337,7 @@ func (p *Proxy) serveConn(nc net.Conn, tid int) {
 		px:   p,
 		nc:   nc,
 		tid:  tid,
-		br:   bufio.NewReaderSize(nc, maxLineLen),
+		br:   memtext.NewReader(nc),
 		mode: p.cfg.DefaultMode,
 		pend: make(chan ppending, pipelineCap),
 	}
@@ -368,11 +368,11 @@ func (c *pconn) loop() {
 			// already be waiting on) would never come.
 			c.flushBackends()
 		}
-		line, n, err := readLine(c.br)
+		line, n, err := memtext.ReadLine(c.br)
 		c.px.rec.Add(c.tid, obs.CCluBytesIn, uint64(n))
 		if err != nil {
-			if err == errProtocol {
-				c.protoErr(serverError("line too long"))
+			if err == memtext.ErrLineTooLong {
+				c.protoErr(memtext.RespLineTooLong)
 			}
 			return
 		}
@@ -445,7 +445,7 @@ func (c *pconn) backend(ni int) (*bconn, error) {
 		if err == nil {
 			b.gen++
 			b.nc = nc
-			b.br = bufio.NewReaderSize(nc, maxLineLen)
+			b.br = memtext.NewReader(nc)
 			b.bw = bufio.NewWriterSize(nc, 16<<10)
 			b.dirty = false
 			c.px.rec.Inc(c.tid, obs.CCluRedials)
@@ -476,8 +476,8 @@ func (c *pconn) dialProbe(addr string) (net.Conn, error) {
 		nc.Close()
 		return nil, err
 	}
-	br := bufio.NewReaderSize(nc, maxLineLen)
-	line, _, err := readLine(br)
+	br := memtext.NewReader(nc)
+	line, _, err := memtext.ReadLine(br)
 	if err != nil || !bytes.Equal(line, []byte("OK")) {
 		nc.Close()
 		if err == nil {
@@ -537,10 +537,10 @@ func (c *pconn) dispatch(line []byte, fields [][]byte) error {
 	case "delete", "touch":
 		// Single-key commands: route on the key, relay the line verbatim.
 		if len(args) == 0 || !memtext.ValidKey(args[0]) {
-			c.protoErr(clientError("bad command line format"))
+			c.protoErr(memtext.RespBadFormat)
 			return nil
 		}
-		noreply := hasNoreply(args)
+		noreply := memtext.HasNoreply(args)
 		ni := c.px.ring.Node(memtext.String(args[0]))
 		b, err := c.backend(ni)
 		if err != nil {
@@ -570,8 +570,8 @@ func (c *pconn) dispatch(line []byte, fields [][]byte) error {
 		return nil
 
 	case "verbosity":
-		if !hasNoreply(args) {
-			c.enqueue(ppending{kind: pLocal, data: respOK})
+		if !memtext.HasNoreply(args) {
+			c.enqueue(ppending{kind: pLocal, data: memtext.RespOK})
 		}
 		return nil
 
@@ -581,7 +581,7 @@ func (c *pconn) dispatch(line []byte, fields [][]byte) error {
 	default:
 		// Includes "crash": killing a node is not meaningful through the
 		// router (which node?); chaos schedules kill nodes directly.
-		c.protoErr(respError)
+		c.protoErr(memtext.RespError)
 		return nil
 	}
 }
@@ -591,12 +591,12 @@ func (c *pconn) dispatch(line []byte, fields [][]byte) error {
 // nodes answer at different speeds, so multi-node gets gather.
 func (c *pconn) doGet(line []byte, verb []byte, rawKeys [][]byte) error {
 	if len(rawKeys) == 0 {
-		c.protoErr(clientError("bad command line format"))
+		c.protoErr(memtext.RespBadFormat)
 		return nil
 	}
 	for _, k := range rawKeys {
 		if !memtext.ValidKey(k) {
-			c.protoErr(clientError("bad key"))
+			c.protoErr(memtext.RespBadKey)
 			return nil
 		}
 	}
@@ -649,29 +649,36 @@ func (c *pconn) doGet(line []byte, verb []byte, rawKeys [][]byte) error {
 	return nil
 }
 
-// doStore serves set/add/replace/cas: parse just enough to route and
-// frame, then relay the original header and body bytes to the owning
-// node. A returned error closes the connection (framing loss).
+// doStore serves set/add/replace/cas: parse the header exactly as the
+// backend will — a header the backend would refuse must be refused
+// here, before its body is read, or the backend answers the header and
+// then the body as a command, two responses to one request — then relay
+// the original header and body bytes to the owning node. A returned
+// error closes the connection (framing loss).
 func (c *pconn) doStore(line []byte, wantCAS bool, args [][]byte) error {
-	h, perr := parseStorageHead(args, wantCAS)
+	var h memtext.Storage
+	rawKey, perr := memtext.ParseStorage(args, wantCAS, &h)
 	if perr != nil {
 		// Body length unknown: stay on the line boundary, as the server
 		// does, and let any body bytes fail as commands.
-		c.protoErr(clientError(perr.Error()))
+		c.protoErr(memtext.ClientError(perr.Error()))
 		return nil
 	}
-	if h.bytes+2 > maxBodyLen {
+	// Routing happens after the body read clobbers the buffer the key
+	// aliases: materialize it.
+	key := string(rawKey)
+	if h.Bytes+2 > memtext.MaxBodyLen {
 		// Too large to buffer for forwarding, but the declared length still
 		// frames the stream: swallow the body and keep the connection, as
 		// the backend (and real memcached) would.
-		m, derr := c.br.Discard(h.bytes + 2)
+		m, derr := c.br.Discard(h.Bytes + 2)
 		c.px.rec.Add(c.tid, obs.CCluBytesIn, uint64(m))
 		if derr != nil {
 			return derr
 		}
 		c.px.rec.Inc(c.tid, obs.CCluProtoErrors)
-		if !h.noreply {
-			c.enqueue(ppending{kind: pLocal, data: serverError("object too large for cache")})
+		if !h.Noreply {
+			c.enqueue(ppending{kind: pLocal, data: memtext.RespTooLarge})
 		}
 		return nil
 	}
@@ -681,25 +688,25 @@ func (c *pconn) doStore(line []byte, wantCAS bool, args [][]byte) error {
 	// Read the body (with its CRLF) before routing: the client has
 	// already committed these bytes, and the stream must stay framed even
 	// if the owning node is dead.
-	body := make([]byte, h.bytes+2)
+	body := make([]byte, h.Bytes+2)
 	if _, err := io.ReadFull(c.br, body); err != nil {
 		return err
 	}
 	c.px.rec.Add(c.tid, obs.CCluBytesIn, uint64(len(body)))
-	if body[h.bytes] != '\r' || body[h.bytes+1] != '\n' {
-		c.protoErr(clientError("bad data chunk"))
+	if body[h.Bytes] != '\r' || body[h.Bytes+1] != '\n' {
+		c.protoErr(memtext.RespBadChunk)
 		return nil
 	}
-	ni := c.px.ring.Node(h.key)
+	ni := c.px.ring.Node(key)
 	b, err := c.backend(ni)
 	if err != nil {
-		if !h.noreply {
+		if !h.Noreply {
 			c.enqueue(ppending{kind: pLocal, data: nodeError(c.backends[ni].addr)})
 		}
 		return nil
 	}
 	ref := c.send(b, hdr, crlf, body)
-	if !h.noreply {
+	if !h.Noreply {
 		c.enqueue(ppending{kind: pLine, refs: []pendRef{ref}})
 	}
 	return nil
@@ -710,7 +717,7 @@ func (c *pconn) doStore(line []byte, wantCAS bool, args [][]byte) error {
 // broadcast cannot honestly be acked, so one dead node fails the whole
 // command (again as a non-binding SERVER_ERROR).
 func (c *pconn) doBroadcast(line []byte, verb []byte, args [][]byte) error {
-	noreply := string(verb) == "flush_all" && hasNoreply(args)
+	noreply := string(verb) == "flush_all" && memtext.HasNoreply(args)
 	c.px.rec.Inc(c.tid, obs.CCluBcasts)
 	bs := make([]*bconn, len(c.backends))
 	for ni := range c.backends {
@@ -750,16 +757,16 @@ func (c *pconn) doDurability(args [][]byte) error {
 		c.enqueue(ppending{kind: pLocal, data: []byte("DURABILITY " + c.mode + "\r\n")})
 		return nil
 	}
-	noreply := hasNoreply(args)
+	noreply := memtext.HasNoreply(args)
 	if noreply {
 		args = args[:len(args)-1]
 	}
 	if len(args) != 1 {
-		c.protoErr(clientError("bad command line format"))
+		c.protoErr(memtext.RespBadFormat)
 		return nil
 	}
 	if !validMode(args[0]) {
-		c.protoErr(clientError(fmt.Sprintf("unknown durability mode %q (want buffered, sync, or epoch-wait)", args[0])))
+		c.protoErr(memtext.ClientError(fmt.Sprintf("unknown durability mode %q (want buffered, sync, or epoch-wait)", args[0])))
 		return nil
 	}
 	c.mode = string(args[0]) // retained across commands: materialize
@@ -774,7 +781,7 @@ func (c *pconn) doDurability(args [][]byte) error {
 	// The local OK stands regardless of backend fates: a backend that
 	// died here gets the mode re-handshaken on redial, so the promise
 	// "your connection is now in mode X" holds either way.
-	p := ppending{kind: pBcast, refs: refs, data: respOK, quiet: noreply}
+	p := ppending{kind: pBcast, refs: refs, data: memtext.RespOK, quiet: noreply}
 	c.enqueue(p)
 	return nil
 }
@@ -810,7 +817,7 @@ func (c *pconn) statsBody() []byte {
 		put("bytes_read", snap.Cluster.BytesIn)
 		put("bytes_written", snap.Cluster.BytesOut)
 	}
-	buf.Write(respEnd)
+	buf.Write(memtext.RespEnd)
 	return buf.Bytes()
 }
 
@@ -899,7 +906,7 @@ func (c *pconn) assemble(p ppending) []byte {
 		if firstBad != nil {
 			return firstBad
 		}
-		return respOK
+		return memtext.RespOK
 
 	default:
 		return nil
@@ -913,7 +920,7 @@ func (c *pconn) readRefLine(ref pendRef) ([]byte, error) {
 		return nil, errNodeDown
 	}
 	ref.nc.SetReadDeadline(time.Now().Add(c.px.cfg.BackendTimeout))
-	line, _, err := readLine(ref.br)
+	line, _, err := memtext.ReadLine(ref.br)
 	if err != nil {
 		ref.fail()
 		return nil, err
@@ -954,7 +961,7 @@ func (c *pconn) assembleGet(p ppending) []byte {
 			buf.Write(blk)
 		}
 	}
-	buf.Write(respEnd)
+	buf.Write(memtext.RespEnd)
 	return buf.Bytes()
 }
 
@@ -967,7 +974,7 @@ func (c *pconn) gatherValues(ref pendRef, blocks map[string][]byte) error {
 	}
 	for {
 		ref.nc.SetReadDeadline(time.Now().Add(c.px.cfg.BackendTimeout))
-		line, _, err := readLine(ref.br)
+		line, _, err := memtext.ReadLine(ref.br)
 		if err != nil {
 			ref.fail()
 			return err
@@ -984,7 +991,7 @@ func (c *pconn) gatherValues(ref pendRef, blocks map[string][]byte) error {
 			return fmt.Errorf("cluster: unexpected get response %q", line)
 		}
 		size, ok := memtext.ParseUint(fields[3], 31)
-		if !ok || int(size)+2 > maxBodyLen {
+		if !ok || int(size)+2 > memtext.MaxBodyLen {
 			ref.fail()
 			return fmt.Errorf("cluster: bad VALUE size %q", fields[3])
 		}

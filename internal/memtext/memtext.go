@@ -1,8 +1,10 @@
-// Package memtext provides zero-allocation helpers for the memcached
-// text protocol: an in-place field tokenizer over a borrowed line,
-// integer parsing over byte slices, and key validation. It is shared
-// by internal/server (the serving front end) and internal/cluster
-// (the proxy) so both sides frame command lines identically.
+// Package memtext is the memcached text protocol's vocabulary, held
+// once: line framing (in place over a read buffer, or over a
+// bufio.Reader), the framing limits, an in-place field tokenizer over a
+// borrowed line, integer parsing over byte slices, key validation, the
+// storage-command header, and the responses every endpoint shares. It
+// is used by internal/server (the serving front end) and
+// internal/cluster (the proxy), so both frame a byte stream identically.
 //
 // Everything here operates on borrowed []byte views into a caller's
 // read buffer. Nothing allocates on the steady-state path: AppendFields

@@ -136,3 +136,78 @@ func TestString(t *testing.T) {
 		t.Fatal("String copied; it must alias its argument")
 	}
 }
+
+// TestCutLineAndReadLineAgree: the in-place framer (the server) and the
+// buffered one (the proxy) accept and refuse exactly the same lines,
+// at the MaxLineLen boundary too.
+func TestCutLineAndReadLineAgree(t *testing.T) {
+	cases := []struct {
+		in   string
+		line string
+		err  error
+	}{
+		{"get k\r\n", "get k", nil},
+		{"get k\n", "get k", nil},
+		{"\r\n", "", nil},
+		{"a\rb\r\r\n", "a\rb\r", nil},
+		{strings.Repeat("k", MaxLineLen) + "\n", strings.Repeat("k", MaxLineLen), nil},
+		{strings.Repeat("k", MaxLineLen-1) + "\r\n", strings.Repeat("k", MaxLineLen-1), nil},
+		{strings.Repeat("k", MaxLineLen) + "\r\n", "", ErrLineTooLong},
+		{strings.Repeat("k", MaxLineLen+1) + "\n", "", ErrLineTooLong},
+		{strings.Repeat("k", 3*MaxLineLen) + "\r\n", "", ErrLineTooLong},
+	}
+	for _, c := range cases {
+		line, n, err := CutLine([]byte(c.in + "next\r\n"))
+		if err != c.err || string(line) != c.line || err == nil && n != len(c.in) {
+			t.Errorf("CutLine(%.20q…) = %.20q, %d, %v; want %.20q, %d, %v", c.in, line, n, err, c.line, len(c.in), c.err)
+		}
+		line, n, err = ReadLine(NewReader(strings.NewReader(c.in + "next\r\n")))
+		if err != c.err || string(line) != c.line || err == nil && n != len(c.in) {
+			t.Errorf("ReadLine(%.20q…) = %.20q, %d, %v; want %.20q, %d, %v", c.in, line, n, err, c.line, len(c.in), c.err)
+		}
+	}
+	// An incomplete line waits for more input until it is provably too long.
+	for _, in := range []string{"", "get k", strings.Repeat("k", MaxLineLen)} {
+		if _, n, err := CutLine([]byte(in)); n != 0 || err != nil {
+			t.Errorf("CutLine(partial %d bytes) = %d, %v; want 0, nil", len(in), n, err)
+		}
+	}
+	if _, _, err := CutLine([]byte(strings.Repeat("k", MaxLineLen+1))); err != ErrLineTooLong {
+		t.Errorf("CutLine(partial MaxLineLen+1) = %v, want ErrLineTooLong", err)
+	}
+}
+
+func TestParseStorage(t *testing.T) {
+	cases := []struct {
+		line    string
+		cas     bool
+		key     string
+		want    Storage
+		wantErr error
+	}{
+		{"k 7 -1 5", false, "k", Storage{Flags: 7, Exptime: -1, Bytes: 5}, nil},
+		{"k 0 0 0 noreply", false, "k", Storage{Noreply: true}, nil},
+		{"k 4294967295 0 2147483647", false, "k", Storage{Flags: 1<<32 - 1, Bytes: 1<<31 - 1}, nil},
+		{"k 1 2 3 18446744073709551615 noreply", true, "k", Storage{Flags: 1, Exptime: 2, Bytes: 3, CAS: 1<<64 - 1, Noreply: true}, nil},
+		{"k 0 0", false, "", Storage{}, ErrBadFormat},
+		{"k 0 0 1 2", false, "", Storage{}, ErrBadFormat},
+		{"k 0 0 1", true, "", Storage{}, ErrBadFormat},
+		{strings.Repeat("k", MaxKeyLen+1) + " 0 0 1", false, "", Storage{}, ErrBadKey},
+		{"k 4294967296 0 1", false, "", Storage{}, ErrBadFlags},
+		{"k -1 0 1", false, "", Storage{}, ErrBadFlags},
+		{"k 0 soon 1", false, "", Storage{}, ErrBadExptime},
+		{"k 0 0 -1", false, "", Storage{}, ErrBadLength},
+		{"k 0 0 2147483648", false, "", Storage{}, ErrBadLength},
+		{"k 0 0 1 notacas", true, "", Storage{}, ErrBadCAS},
+	}
+	for _, c := range cases {
+		var h Storage
+		key, err := ParseStorage(AppendFields(nil, []byte(c.line)), c.cas, &h)
+		if err != c.wantErr || string(key) != c.key || err == nil && h != c.want {
+			t.Errorf("ParseStorage(%.30q, cas=%v) = %q, %+v, %v; want %q, %+v, %v", c.line, c.cas, key, h, err, c.key, c.want, c.wantErr)
+		}
+	}
+	if !HasNoreply(AppendFields(nil, []byte("k noreply"))) || HasNoreply(AppendFields(nil, []byte("noreply k"))) || HasNoreply(nil) {
+		t.Error("HasNoreply looks anywhere but the last argument")
+	}
+}

@@ -1,41 +1,47 @@
 package server
 
 import (
-	"io"
-	"net"
 	"testing"
 	"time"
 
 	"montage/internal/memtext"
 )
 
-// allocConn builds a conn wired to a drained pipe whose ingest path the
+// discard is a source that takes every byte at once: flush runs its
+// whole path — batch, writev, pop, release — with no transport behind it.
+type discard struct{}
+
+func (discard) start()                   {}
+func (discard) read([]byte) (int, error) { return 0, errAgain }
+func (discard) writev(bufs [][]byte) (int, error) {
+	n := 0
+	for _, b := range bufs {
+		n += len(b)
+	}
+	return n, nil
+}
+func (discard) rearm() {}
+func (discard) sever() {}
+func (discard) close() {}
+
+// allocConn builds a conn over a discard source whose ingest path the
 // test drives directly: requests are appended to the input buffer and
-// consumed by ingest, responses drained from the write queue by hand.
-// This measures exactly the serving hot path — tokenize, dispatch,
-// kvstore, response render, enqueue, batch pop — with no goroutine
-// scheduling noise.
-func allocConn(t testing.TB, s *Server) *conn {
-	t.Helper()
-	cl, sv := net.Pipe()
-	go io.Copy(io.Discard, cl)
-	t.Cleanup(func() { cl.Close(); sv.Close() })
-	return s.newConn(sv, 0)
+// consumed by ingest, responses flushed into the discard source. This
+// measures exactly the serving hot path — tokenize, dispatch, kvstore,
+// response render, enqueue, flush — with no goroutine scheduling noise.
+func allocConn(s *Server) *conn {
+	c := s.newConn(nil)
+	c.src = discard{}
+	return c
 }
 
-// step feeds one request through ingest and drains the response queue.
+// step feeds one request through ingest and flushes the responses.
 func (c *conn) step(t testing.TB, req []byte) {
 	c.in = append(c.in, req...)
 	if err := c.ingest(0); err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
-	c.wmu.Lock()
-	c.popReadyLocked()
-	c.wmu.Unlock()
-	for i, p := range c.batch {
-		releasePending(p)
-		c.batch[i] = nil
-	}
+	c.flush()
 }
 
 // TestAllocsGetSteadyState pins the tentpole claim: a steady-state get
@@ -46,7 +52,7 @@ func TestAllocsGetSteadyState(t *testing.T) {
 	// A long epoch keeps the background advancer quiet during the
 	// measurement window (its own allocations are not the hot path).
 	s := newTestServer(t, Config{EpochLength: 10 * time.Second})
-	c := allocConn(t, s)
+	c := allocConn(s)
 
 	c.step(t, []byte("set k 7 0 10\r\nvalue-data\r\n"))
 	req := []byte("get k\r\n")
@@ -66,7 +72,7 @@ func TestAllocsGetSteadyState(t *testing.T) {
 // update by design.)
 func TestAllocsSetSteadyState(t *testing.T) {
 	s := newTestServer(t, Config{Backend: "dram", EpochLength: 10 * time.Second})
-	c := allocConn(t, s)
+	c := allocConn(s)
 
 	req := []byte("set k 7 0 10\r\nvalue-data\r\n")
 	c.step(t, req) // insert + warm scratch
@@ -85,11 +91,11 @@ func TestAllocsSetSteadyState(t *testing.T) {
 func BenchmarkParse(b *testing.B) {
 	line := []byte("set some:bench:key:123 42 0 100 noreply")
 	var tok [][]byte
-	var sa storageArgs
+	var h memtext.Storage
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tok = memtext.AppendFields(tok[:0], line)
-		if _, err := parseStorageFields(tok[1:], false, &sa); err != nil {
+		if _, err := memtext.ParseStorage(tok[1:], false, &h); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,33 +114,12 @@ func BenchmarkServeGet(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Shutdown(time.Second)
-	cl, sv := net.Pipe()
-	go io.Copy(io.Discard, cl)
-	defer cl.Close()
-	c := s.newConn(sv, 0)
-
-	drain := func() {
-		c.wmu.Lock()
-		c.popReadyLocked()
-		c.wmu.Unlock()
-		for i, p := range c.batch {
-			releasePending(p)
-			c.batch[i] = nil
-		}
-	}
-	c.in = append(c.in, "set k 7 0 10\r\nvalue-data\r\n"...)
-	if err := c.ingest(0); err != nil {
-		b.Fatal(err)
-	}
-	drain()
+	c := allocConn(s)
+	c.step(b, []byte("set k 7 0 10\r\nvalue-data\r\n"))
 	req := []byte("get k\r\n")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.in = append(c.in, req...)
-		if err := c.ingest(0); err != nil {
-			b.Fatal(err)
-		}
-		drain()
+		c.step(b, req)
 	}
 }

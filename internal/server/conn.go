@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -44,158 +43,65 @@ const (
 	stDiscard
 )
 
-// conn is one client connection. One goroutine at a time ingests input
-// (the blocking read loop, or a reactor pump on an epoll readable
-// edge), parses commands in place with the shared tokenizer, executes
-// them, and appends responses to the write queue in flush.go. Reactor
-// connections have no writer goroutine: ready responses are flushed in
-// batches by whoever settled the queue head (the pump, the parking-lot
-// subscriber, the poller on a writable edge); pipes and non-Linux
-// connections keep a fallback writer. Epoch-wait acks park as callbacks
-// on the shard parking lot rather than blocking anyone.
+// conn is one client connection, served by the state machine in
+// pump.go and flush.go over its source: one goroutine at a time holds
+// the pump claim and ingests input — parses commands in place with the
+// shared tokenizer, executes them, and appends responses to the write
+// queue — and one at a time holds the flush claim and writes the
+// settled prefix of that queue. Epoch-wait acks park as callbacks on the
+// shard parking lot rather than blocking anyone.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
-	tid  int // fixed exec tid (serveConn/tests); -1 = borrow per burst
+	src  source
 	rtid int // recording tid for counters (small, stable)
 	mode AckMode
 
-	// Parser state, owned by the single ingesting goroutine.
+	// Parser state, owned by the pump claim.
 	in      []byte
 	st      int
 	tok     [][]byte
-	sa      storageArgs
+	sa      memtext.Storage
+	klen    int
 	verb    byte // 's','a','r','c' for the in-flight storage command
-	keyb    [maxKeyLen]byte
+	keyb    [memtext.MaxKeyLen]byte
 	discard int
 	vbuf    []byte // value-encode scratch: [4B flags][body]
 	gv      getViewer
 
-	// Write queue (flush.go). wcond shares wmu: the blocking read loop
-	// waits on it for backpressure, the fallback writer for work.
+	// Write queue (flush.go) and the two claims, under wmu.
 	wmu         sync.Mutex
-	wcond       *sync.Cond
 	qhead       *pending
 	qtail       *pending
 	qlen        int
 	woff        int  // bytes of qhead.data already written (partial writev)
-	flushActive bool // reactor: the flush claim, one goroutine in writev
-	wantWrite   bool // reactor: writev hit EAGAIN, awaiting EPOLLOUT
-	readParked  bool // reactor: pump parked on a full pipeline
+	pumpRunning bool // the pump claim: one goroutine reads and ingests
+	pumpAgain   bool // a readable edge arrived while the pump ran
+	hup         bool // the peer hung up: no further edge will follow
+	readParked  bool // the pump parked on a full pipeline
+	flushActive bool // the flush claim: one goroutine writes
+	wantWrite   bool // writev hit errAgain, awaiting a writable edge
 	closing     bool
 	dead        bool
 	closeDone   bool
 
-	// Reactor bookkeeping (linux TCP connections only), under wmu.
-	raw         bool
-	fd          int
-	pumpRunning bool // the pump claim: one goroutine reads and ingests
-	pumpAgain   bool // a readable edge arrived while the pump ran
-	hup         bool // the peer hung up: no further edge will follow
-
 	// Flusher scratch, reused across batches.
 	iov   [][]byte
 	batch []*pending
-	rw    rawConnState
 
 	accepted bool // accept-loop bookkeeping applies (not a test pipe)
 }
 
-func (s *Server) newConn(nc net.Conn, tid int) *conn {
+func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		srv:  s,
 		nc:   nc,
-		tid:  tid,
-		rtid: tid,
+		rtid: int(s.connSeq.Add(1)) % s.execThreads,
 		mode: s.cfg.DefaultMode,
 	}
-	if tid < 0 {
-		c.rtid = int(s.connSeq.Add(1)) % s.execThreads
-	}
-	c.wcond = sync.NewCond(&c.wmu)
 	c.gv.c = c
+	s.startPumps()
 	return c
-}
-
-// serveConn runs one connection to completion on the portable blocking
-// driver. Split out from the accept loop so protocol tests can drive it
-// over a net.Pipe with a fixed Montage tid.
-func (s *Server) serveConn(nc net.Conn, tid int) {
-	c := s.newConn(nc, tid)
-	c.runBlocking()
-}
-
-// runBlocking pairs the blocking read loop with a fallback writer
-// goroutine and waits for both: the writer keeps draining (including
-// parked epoch-wait acks resolving on the lot) after the read side
-// stops, exactly like the old dedicated-writer teardown.
-func (c *conn) runBlocking() {
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.fallbackWriter()
-	}()
-	c.readLoop()
-	<-done
-	c.closeNow()
-}
-
-// readLoop is the blocking driver: read, ingest, repeat, pausing while
-// the response queue is full.
-func (c *conn) readLoop() {
-	rec := c.srv.rec
-	var ierr error
-	for {
-		c.wmu.Lock()
-		for c.qlen >= pipelineCap && !c.dead && !c.closing {
-			c.wcond.Wait()
-		}
-		stop := c.dead || c.closing
-		c.wmu.Unlock()
-		if stop {
-			return
-		}
-		var n int
-		var err error
-		if ierr != errThrottle {
-			c.ensureSpare(readChunk)
-			n, err = c.nc.Read(c.in[len(c.in):cap(c.in)])
-			if n > 0 {
-				rec.Add(c.rtid, obs.CNetBytesIn, uint64(n))
-				c.in = c.in[:len(c.in)+n]
-			}
-		}
-		// A throttled ingest left complete commands buffered: run them
-		// before touching the socket again, or a client that has already
-		// sent everything is never answered (pumpOnce does the same).
-		if n > 0 || ierr == errThrottle {
-			tid := c.tid
-			borrowed := tid < 0
-			if borrowed {
-				tid = <-c.srv.tids
-			}
-			ierr = c.ingest(tid)
-			if borrowed {
-				c.srv.tids <- tid
-			}
-			switch ierr {
-			case nil, errThrottle:
-			default:
-				// quit or unrecoverable framing damage: stop reading, let
-				// the writer drain queued responses, then close.
-				c.closeSoon()
-				return
-			}
-		}
-		if err != nil {
-			if err == io.EOF {
-				c.closeSoon()
-			} else {
-				c.abort()
-			}
-			return
-		}
-	}
 }
 
 // ensureSpare guarantees min bytes of append room in the input buffer,
@@ -230,41 +136,33 @@ loop:
 	for {
 		switch c.st {
 		case stLine:
-			idx := bytes.IndexByte(c.in[base:], '\n')
-			if idx < 0 {
-				if len(c.in)-base > maxLineLen {
-					// The request boundary is lost; report and hang up.
-					c.protoErr(serverError("line too long"))
-					ret = errProtocol
-				}
-				break loop
-			}
-			line := c.in[base : base+idx]
-			base += idx + 1
-			if len(line) > maxLineLen {
-				c.protoErr(serverError("line too long"))
+			line, n, err := memtext.CutLine(c.in[base:])
+			if err != nil {
+				// The request boundary is lost; report and hang up.
+				c.protoErr(memtext.RespLineTooLong)
 				ret = errProtocol
 				break loop
 			}
-			if len(line) > 0 && line[len(line)-1] == '\r' {
-				line = line[:len(line)-1]
+			if n == 0 {
+				break loop
 			}
+			base += n
 			if err := c.dispatchLine(line, tid); err != nil {
 				ret = err
 				break loop
 			}
 		case stBody:
-			need := c.sa.bytes + 2
+			need := c.sa.Bytes + 2
 			if len(c.in)-base < need {
 				break loop
 			}
 			body := c.in[base : base+need]
 			base += need
 			c.st = stLine
-			if body[c.sa.bytes] != '\r' || body[c.sa.bytes+1] != '\n' {
-				c.protoErr(clientError("bad data chunk"))
+			if body[c.sa.Bytes] != '\r' || body[c.sa.Bytes+1] != '\n' {
+				c.protoErr(memtext.RespBadChunk)
 			} else {
-				c.execStore(body[:c.sa.bytes], tid)
+				c.execStore(body[:c.sa.Bytes], tid)
 			}
 		case stDiscard:
 			avail := len(c.in) - base
@@ -277,8 +175,8 @@ loop:
 			c.discard = 0
 			c.st = stLine
 			c.srv.rec.Inc(c.rtid, obs.CNetProtoErrors)
-			if !c.sa.noreply {
-				c.enqueue(newPending(respTooLarge, nil))
+			if !c.sa.Noreply {
+				c.enqueue(newPending(memtext.RespTooLarge, nil))
 			}
 		}
 		if ret == nil && c.pipelineFull() {
@@ -380,8 +278,8 @@ func (c *conn) dispatchLine(line []byte, tid int) error {
 
 	case "verbosity":
 		rec.Inc(c.rtid, obs.CNetOpsAdmin)
-		if !hasNoreplyTok(args) {
-			c.enqueue(newPending(respOK, nil))
+		if !memtext.HasNoreply(args) {
+			c.enqueue(newPending(memtext.RespOK, nil))
 		}
 		return nil
 
@@ -394,7 +292,7 @@ func (c *conn) dispatchLine(line []byte, tid int) error {
 			s.cur.pool.Sync(tid)
 		}
 		s.mu.RUnlock()
-		c.enqueue(newPending(respOK, nil))
+		c.enqueue(newPending(memtext.RespOK, nil))
 		return nil
 
 	case "durability":
@@ -404,22 +302,22 @@ func (c *conn) dispatchLine(line []byte, tid int) error {
 			c.enqueue(newPending([]byte("DURABILITY "+c.mode.String()+"\r\n"), nil))
 			return nil
 		}
-		noreply := hasNoreplyTok(args)
+		noreply := memtext.HasNoreply(args)
 		if noreply {
 			args = args[:len(args)-1]
 		}
 		if len(args) != 1 {
-			c.protoErr(clientError("bad command line format"))
+			c.protoErr(memtext.RespBadFormat)
 			return nil
 		}
 		mode, perr := ParseAckMode(string(args[0]))
 		if perr != nil {
-			c.protoErr(clientError(perr.Error()))
+			c.protoErr(memtext.ClientError(perr.Error()))
 			return nil
 		}
 		c.mode = mode
 		if !noreply {
-			c.enqueue(newPending(respOK, nil))
+			c.enqueue(newPending(memtext.RespOK, nil))
 		}
 		return nil
 
@@ -427,7 +325,7 @@ func (c *conn) dispatchLine(line []byte, tid int) error {
 		// Extension (gated): simulated power failure + in-place recovery.
 		rec.Inc(c.rtid, obs.CNetOpsAdmin)
 		if !c.srv.cfg.AllowCrash {
-			c.protoErr(respError)
+			c.protoErr(memtext.RespError)
 			return nil
 		}
 		mode := pmem.CrashDropAll
@@ -436,17 +334,17 @@ func (c *conn) dispatchLine(line []byte, tid int) error {
 		}
 		// Deliberately NOT under the read lock: Crash takes the write lock.
 		if _, cerr := c.srv.Crash(mode); cerr != nil {
-			c.enqueue(newPending(serverError(cerr.Error()), nil))
+			c.enqueue(newPending(memtext.ServerError(cerr.Error()), nil))
 			return nil
 		}
-		c.enqueue(newPending(respOK, nil))
+		c.enqueue(newPending(memtext.RespOK, nil))
 		return nil
 
 	case "quit":
 		return errQuit
 
 	default:
-		c.protoErr(respError)
+		c.protoErr(memtext.RespError)
 		return nil
 	}
 }
@@ -482,12 +380,12 @@ func (g *getViewer) ViewValue(v []byte, cas uint64) {
 // doGet serves get/gets over any number of keys.
 func (c *conn) doGet(keys [][]byte, withCAS bool, tid int) {
 	if len(keys) == 0 {
-		c.protoErr(clientError("bad command line format"))
+		c.protoErr(memtext.RespBadFormat)
 		return
 	}
 	for _, k := range keys {
 		if !memtext.ValidKey(k) {
-			c.protoErr(clientError("bad key"))
+			c.protoErr(memtext.RespBadKey)
 			return
 		}
 	}
@@ -503,7 +401,7 @@ func (c *conn) doGet(keys [][]byte, withCAS bool, tid int) {
 		store.GetView(tid, memtext.String(k), g)
 	}
 	s.mu.RUnlock()
-	g.buf = append(g.buf, respEnd...)
+	g.buf = append(g.buf, memtext.RespEnd...)
 	*pbuf = g.buf
 	c.enqueue(newPending(*pbuf, pbuf))
 	g.buf = nil
@@ -514,23 +412,23 @@ func (c *conn) doGet(keys [][]byte, withCAS bool, tid int) {
 // the conn's key buffer (the read buffer compacts before the body
 // arrives); the body is executed from stBody once fully buffered.
 func (c *conn) doStoreHead(verb byte, args [][]byte) error {
-	key, perr := parseStorageFields(args, verb == 'c', &c.sa)
+	key, perr := memtext.ParseStorage(args, verb == 'c', &c.sa)
 	if perr != nil {
 		// The declared body length is unknown; stay on the line boundary
 		// and let any body bytes fail as commands.
-		c.protoErr(clientError(perr.Error()))
+		c.protoErr(memtext.ClientError(perr.Error()))
 		return nil
 	}
-	if c.sa.bytes > c.srv.cfg.MaxItemSize {
-		if c.sa.bytes+2 > discardCap {
-			c.protoErr(serverError("object too large for cache"))
+	if c.sa.Bytes > c.srv.cfg.MaxItemSize {
+		if c.sa.Bytes+2 > memtext.MaxBodyLen {
+			c.protoErr(memtext.RespTooLarge)
 			return errProtocol
 		}
-		c.discard = c.sa.bytes + 2
+		c.discard = c.sa.Bytes + 2
 		c.st = stDiscard
 		return nil
 	}
-	c.sa.klen = copy(c.keyb[:], key)
+	c.klen = copy(c.keyb[:], key)
 	c.verb = verb
 	c.st = stBody
 	return nil
@@ -548,10 +446,10 @@ func (c *conn) execStore(body []byte, tid int) {
 		s.rec.Inc(c.rtid, obs.CNetParseAllocs)
 	}
 	enc := c.vbuf[:need]
-	binary.LittleEndian.PutUint32(enc, c.sa.flags)
+	binary.LittleEndian.PutUint32(enc, c.sa.Flags)
 	copy(enc[4:], body)
-	ttl := ttlFor(c.sa.exptime)
-	key := memtext.String(c.keyb[:c.sa.klen])
+	ttl := ttlFor(c.sa.Exptime)
+	key := memtext.String(c.keyb[:c.klen])
 
 	var data []byte
 	var tag kvstore.DurabilityTag
@@ -561,7 +459,7 @@ func (c *conn) execStore(body []byte, tid int) {
 	case 's':
 		t, err := r.store.SetTag(tid, key, enc, ttl)
 		if err != nil {
-			data = serverError(err.Error())
+			data = memtext.ServerError(err.Error())
 		} else {
 			data, tag = respStored, t
 		}
@@ -569,7 +467,7 @@ func (c *conn) execStore(body []byte, tid int) {
 		stored, t, err := r.store.Add(tid, key, enc, ttl)
 		switch {
 		case err != nil:
-			data = serverError(err.Error())
+			data = memtext.ServerError(err.Error())
 		case !stored:
 			data = respNotStored
 		default:
@@ -579,17 +477,17 @@ func (c *conn) execStore(body []byte, tid int) {
 		stored, t, err := r.store.Replace(tid, key, enc, ttl)
 		switch {
 		case err != nil:
-			data = serverError(err.Error())
+			data = memtext.ServerError(err.Error())
 		case !stored:
 			data = respNotStored
 		default:
 			data, tag = respStored, t
 		}
 	default: // 'c'
-		out, t, err := r.store.CompareAndSwap(tid, key, enc, ttl, c.sa.cas)
+		out, t, err := r.store.CompareAndSwap(tid, key, enc, ttl, c.sa.CAS)
 		switch {
 		case err != nil:
-			data = serverError(err.Error())
+			data = memtext.ServerError(err.Error())
 		case out == kvstore.CASStored:
 			data, tag = respStored, t
 		case out == kvstore.CASExists:
@@ -598,7 +496,7 @@ func (c *conn) execStore(body []byte, tid int) {
 			data = respNotFound
 		}
 	}
-	c.finishWrite(r, tid, c.sa.noreply, data, tag)
+	c.finishWrite(r, tid, c.sa.Noreply, data, tag)
 	s.mu.RUnlock()
 }
 
@@ -662,7 +560,7 @@ func (c *conn) registerWait(l *shardLot, e uint64, p *pending) {
 // doDelete serves "delete <key> [0] [noreply]" (the legacy time arg is
 // accepted and ignored, as memcached does).
 func (c *conn) doDelete(args [][]byte, tid int) {
-	noreply := hasNoreplyTok(args)
+	noreply := memtext.HasNoreply(args)
 	if noreply {
 		args = args[:len(args)-1]
 	}
@@ -670,7 +568,7 @@ func (c *conn) doDelete(args [][]byte, tid int) {
 		args = args[:1]
 	}
 	if len(args) != 1 || !memtext.ValidKey(args[0]) {
-		c.protoErr(clientError("bad command line format"))
+		c.protoErr(memtext.RespBadFormat)
 		return
 	}
 	key := memtext.String(args[0])
@@ -682,7 +580,7 @@ func (c *conn) doDelete(args [][]byte, tid int) {
 	ok, t, err := r.store.DeleteTag(tid, key)
 	switch {
 	case err != nil:
-		data = serverError(err.Error())
+		data = memtext.ServerError(err.Error())
 	case !ok:
 		data = respNotFound
 	default:
@@ -694,17 +592,17 @@ func (c *conn) doDelete(args [][]byte, tid int) {
 
 // doTouch serves "touch <key> <exptime> [noreply]".
 func (c *conn) doTouch(args [][]byte, tid int) {
-	noreply := hasNoreplyTok(args)
+	noreply := memtext.HasNoreply(args)
 	if noreply {
 		args = args[:len(args)-1]
 	}
 	if len(args) != 2 || !memtext.ValidKey(args[0]) {
-		c.protoErr(clientError("bad command line format"))
+		c.protoErr(memtext.RespBadFormat)
 		return
 	}
 	exptime, ok := memtext.ParseInt(args[1])
 	if !ok {
-		c.protoErr(clientError("bad exptime"))
+		c.protoErr(memtext.ClientError("bad exptime"))
 		return
 	}
 	key, ttl := memtext.String(args[0]), ttlFor(exptime)
@@ -716,7 +614,7 @@ func (c *conn) doTouch(args [][]byte, tid int) {
 	found, t, err := r.store.Touch(tid, key, ttl)
 	switch {
 	case err != nil:
-		data = serverError(err.Error())
+		data = memtext.ServerError(err.Error())
 	case !found:
 		data = respNotFound
 	default:
@@ -730,17 +628,17 @@ func (c *conn) doTouch(args [][]byte, tid int) {
 // applied immediately. The ack may cover one epoch tag per shard, all
 // of which must persist before an epoch-wait ack releases.
 func (c *conn) doFlushAll(args [][]byte, tid int) {
-	noreply := hasNoreplyTok(args)
+	noreply := memtext.HasNoreply(args)
 	if noreply {
 		args = args[:len(args)-1]
 	}
 	if len(args) > 1 {
-		c.protoErr(clientError("bad command line format"))
+		c.protoErr(memtext.RespBadFormat)
 		return
 	}
 	if len(args) == 1 {
 		if _, ok := memtext.ParseInt(args[0]); !ok {
-			c.protoErr(clientError("bad flush delay"))
+			c.protoErr(memtext.ClientError("bad flush delay"))
 			return
 		}
 	}
@@ -750,12 +648,12 @@ func (c *conn) doFlushAll(args [][]byte, tid int) {
 	_, tags, err := r.store.Flush(tid)
 	if err != nil {
 		if !noreply {
-			defer c.enqueue(newPending(serverError(err.Error()), nil))
+			defer c.enqueue(newPending(memtext.ServerError(err.Error()), nil))
 		}
 		s.mu.RUnlock()
 		return
 	}
-	data := respOK
+	data := memtext.RespOK
 	if len(tags) == 0 || r.pool == nil || noreply {
 		c.finishWrite(r, tid, noreply, data, kvstore.DurabilityTag{})
 		s.mu.RUnlock()
@@ -850,7 +748,7 @@ func (c *conn) statsBody(r *rt) []byte {
 		put("ack_epoch_wait_p99_ns", snap.Latency.AckEpochNs.P99)
 		put("pipeline_depth_p99", snap.Latency.PipelineDepth.P99)
 	}
-	buf.Write(respEnd)
+	buf.Write(memtext.RespEnd)
 	return buf.Bytes()
 }
 
@@ -876,17 +774,9 @@ func ttlFor(exptime int64) time.Duration {
 	}
 }
 
-// encodeValue prefixes an item's data with its 32-bit client flags, so
-// flags survive in the store (and across crashes) with the value.
-// (The serving hot path encodes in place into conn.vbuf; this helper
-// remains for tests and tools.)
-func encodeValue(flags uint32, data []byte) []byte {
-	buf := make([]byte, 4+len(data))
-	binary.LittleEndian.PutUint32(buf, flags)
-	copy(buf[4:], data)
-	return buf
-}
-
+// decodeValue splits a stored value into the 32-bit client flags that
+// execStore prefixed it with (so flags survive crashes with the value)
+// and the item's data.
 func decodeValue(v []byte) (uint32, []byte) {
 	if len(v) < 4 {
 		return 0, v

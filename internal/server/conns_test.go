@@ -17,7 +17,7 @@ import (
 // old expiryFor treated every ttl <= 0 as "never expires".
 func TestNegativeExptime(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("set doomed 0 -1 5\r\nhello\r\n")
 	c.expect("STORED")
@@ -54,7 +54,7 @@ func TestDeadSocketUnderParkedAcks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		s.serveConn(sv, 0)
+		s.serveConn(sv)
 	}()
 	br := bufio.NewReader(cl)
 	send := func(format string, args ...interface{}) {
@@ -106,7 +106,7 @@ func TestDeadSocketUnderParkedAcks(t *testing.T) {
 // noreply and replied writes must stay perfectly framed across a crash.
 func TestCrashDuringNoreplyPipeline(t *testing.T) {
 	s := newTestServer(t, Config{AllowCrash: true, EpochLength: time.Hour})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("durability epoch_wait\r\n")
 	c.expect("OK")
@@ -238,8 +238,8 @@ func TestGoroutineCountBounded(t *testing.T) {
 	}
 }
 
-// TestThrottleStall pins the blocking driver's resume after a throttle:
-// a client pipelines more than pipelineCap commands in one burst and then
+// TestThrottleStall pins the resume after a throttle over a pipe (the
+// stream source, whose send buffer absorbs the burst): a client pipelines more than pipelineCap commands in one burst and then
 // only reads. The commands left buffered when ingest throttled must run
 // once the queue drains, without waiting for socket input that will
 // never come.
@@ -249,7 +249,7 @@ func TestThrottleStall(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.serveConn(sv, 0)
+		srv.serveConn(sv)
 	}()
 	const n = pipelineCap + 40
 	var req bytes.Buffer

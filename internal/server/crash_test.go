@@ -22,7 +22,7 @@ func TestCrashSyncedWriteSurvives(t *testing.T) {
 	// write on its own: only the sync-mode ack forces durability, so the
 	// post-crash outcome is deterministic.
 	s := newTestServer(t, Config{AllowCrash: true, EpochLength: time.Hour})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("durability sync\r\n")
 	c.expect("OK")

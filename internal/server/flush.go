@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net"
 	"sync"
 
 	"montage/internal/obs"
@@ -69,12 +68,11 @@ func releasePending(p *pending) {
 	}
 }
 
-// enqueue appends one response to the write queue. Reactor connections
-// are not flushed here: enqueue runs on the pump, which flushes once per
-// ingest pass (one writev per read batch, not per response);
-// blocking-driver connections wake their fallback writer. Responses
-// enqueued after death are dropped (counting the abort if a durability
-// wait was attached but never settled).
+// enqueue appends one response to the write queue. It does not flush:
+// enqueue runs on the pump, which flushes once per ingest pass (one
+// writev per read batch, not per response). Responses enqueued after
+// death are dropped (counting the abort if a durability wait was
+// attached but never settled).
 func (c *conn) enqueue(p *pending) {
 	rec := c.srv.rec
 	c.wmu.Lock()
@@ -96,9 +94,6 @@ func (c *conn) enqueue(p *pending) {
 	c.qtail = p
 	c.qlen++
 	rec.Observe(c.rtid, obs.HPipelineDepth, uint64(c.qlen))
-	if !c.raw {
-		c.wcond.Broadcast()
-	}
 	c.wmu.Unlock()
 }
 
@@ -116,8 +111,8 @@ func (c *conn) enqueue(p *pending) {
 func (c *conn) ackFired(p *pending, ok bool) {
 	rec := c.srv.rec
 	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	if p.nwait == 0 { // already settled (abort raced the fire)
-		c.wmu.Unlock()
 		return
 	}
 	p.nwait--
@@ -125,7 +120,6 @@ func (c *conn) ackFired(p *pending, ok bool) {
 		p.aborted = true
 	}
 	if p.nwait > 0 {
-		c.wmu.Unlock()
 		return
 	}
 	if p.aborted {
@@ -137,10 +131,6 @@ func (c *conn) ackFired(p *pending, ok bool) {
 		rec.Inc(c.rtid, obs.CNetAcksEpoch)
 		rec.ObserveSince(c.rtid, obs.HAckEpochNs, p.start)
 	}
-	if !c.raw {
-		c.wcond.Broadcast()
-	}
-	c.wmu.Unlock()
 }
 
 // closeSoon initiates a graceful close: stop reading, flush everything
@@ -154,17 +144,16 @@ func (c *conn) closeSoon() {
 		return
 	}
 	c.closing = true
-	c.wcond.Broadcast()
 	c.wmu.Unlock()
-	// On the reactor, flushes what is ready and, once the queue is empty
-	// (now, or after the last parked ack fires), marks the connection dead.
-	c.flushRaw()
+	// Flushes what is ready and, once the queue is empty (now, or after
+	// the last parked ack fires), marks the connection dead.
+	c.flush()
 }
 
 // abort tears the connection down immediately: the queue is dropped,
 // unsettled durability waits are counted as aborted and their lot
-// slots cancelled, and the socket is closed as soon as no pump or
-// flush is touching the fd. Used for socket errors, Kill, and
+// slots cancelled, the source is severed, and it is closed as soon as
+// no pump or flush is touching it. Used for transport errors, Kill, and
 // Shutdown's forced drain.
 func (c *conn) abort() {
 	c.wmu.Lock()
@@ -175,17 +164,12 @@ func (c *conn) abort() {
 	c.dead = true
 	c.closing = true
 	cancels := c.dropQueueLocked()
-	c.wcond.Broadcast()
 	fin := c.maybeFinalizeLocked()
 	c.wmu.Unlock()
 	for _, lw := range cancels {
 		lw.cancel()
 	}
-	if !c.raw {
-		// net.Conn Close is safe against concurrent Read and unblocks it.
-		c.nc.Close()
-		return
-	}
+	c.src.sever()
 	if fin {
 		c.finalize()
 	}
@@ -210,8 +194,8 @@ func (c *conn) dropQueueLocked() (cancels []*lotWaiter) {
 
 // maybeFinalizeLocked decides whether the caller (who is releasing the
 // last pump/flush activity, or aborting an idle conn) should run
-// finalize. Raw connections defer the actual fd close until nothing
-// can be mid-syscall on it. wmu held.
+// finalize: the source is closed only once nothing can be mid-call on
+// it. wmu held.
 func (c *conn) maybeFinalizeLocked() bool {
 	if c.closeDone || !c.dead {
 		return false
@@ -223,108 +207,120 @@ func (c *conn) maybeFinalizeLocked() bool {
 	return true
 }
 
-// finalize closes the socket exactly once and returns accept-loop
-// bookkeeping. Raw connections are dropped from the reactor first so
-// the fd cannot be seen again after close.
+// finalize closes the source exactly once and returns accept-loop
+// bookkeeping.
 func (c *conn) finalize() {
-	if c.raw {
-		c.srv.reactorDel(c)
-	}
-	c.nc.Close()
+	c.src.close()
 	if c.accepted {
 		c.srv.finishConn(c)
 	}
 }
 
-// closeNow is the blocking driver's teardown: both loops have exited.
-func (c *conn) closeNow() {
+// flush writes the settled prefix of the response queue with vectored
+// writes, on the goroutine of whoever settled its head: the pump after
+// an ingest pass, the parking-lot subscriber after an epoch tick, the
+// source's writable edge. One caller at a time holds the flush claim
+// (flushActive) and loops until nothing more is flushable; the others
+// return at once, since that loop re-examines the head under wmu and so
+// cannot miss what they settled. The source never blocks: a full
+// transport parks the queue on wantWrite until its writable edge, and
+// no caller is ever held by a slow client.
+func (c *conn) flush() {
+	rec := c.srv.rec
 	c.wmu.Lock()
-	if c.closeDone {
+	if c.flushActive || c.wantWrite {
 		c.wmu.Unlock()
 		return
 	}
-	c.dead = true
-	c.closeDone = true
-	cancels := c.dropQueueLocked()
-	c.wmu.Unlock()
-	for _, lw := range cancels {
-		lw.cancel()
-	}
-	c.nc.Close()
-	if c.accepted {
-		c.srv.finishConn(c)
-	}
-}
-
-// popReadyLocked collects the settled prefix of the queue into c.batch
-// and its bytes into c.iov, unlinking the pendings. wmu held. Returns
-// total byte count.
-func (c *conn) popReadyLocked() int {
-	c.batch = c.batch[:0]
-	c.iov = c.iov[:0]
-	total := 0
-	for c.qhead != nil && c.qhead.nwait == 0 && len(c.batch) < maxFlushBatch {
-		p := c.qhead
-		c.qhead = p.next
-		p.next = nil
-		c.qlen--
-		if len(p.data) > 0 {
-			c.iov = append(c.iov, p.data)
-			total += len(p.data)
+	c.flushActive = true
+	var werr error
+	for { // wmu held
+		total := 0
+		if !c.dead && werr == nil {
+			c.iov = c.iov[:0]
+			nb := 0
+			for p := c.qhead; p != nil && p.nwait == 0 && nb < maxFlushBatch; p = p.next {
+				d := p.data
+				if nb == 0 && c.woff > 0 {
+					d = d[c.woff:]
+				}
+				if len(d) > 0 {
+					c.iov = append(c.iov, d)
+					total += len(d)
+				}
+				nb++
+			}
 		}
-		c.batch = append(c.batch, p)
-	}
-	if c.qhead == nil {
-		c.qtail = nil
-	}
-	return total
-}
-
-// fallbackWriter drains the queue for blocking-driver connections
-// (test pipes, non-Linux): wait for a settled head, batch the settled
-// prefix, write it with one vectored WriteTo, repeat. Exits once the
-// connection is closing and fully drained, or dead.
-func (c *conn) fallbackWriter() {
-	rec := c.srv.rec
-	for {
-		c.wmu.Lock()
-		for {
-			if c.dead {
-				c.wmu.Unlock()
-				return
-			}
-			if c.qhead != nil && c.qhead.nwait == 0 {
-				break
-			}
+		if total == 0 {
+			// Dead, drained, head unsettled, or transport full: give the
+			// claim up.
+			c.flushActive = false
+			c.wantWrite = werr == errAgain && !c.dead
+			rearm := c.wantWrite
 			if c.closing && c.qhead == nil {
-				c.wmu.Unlock()
-				return
+				c.dead = true
 			}
-			c.wcond.Wait()
+			fin := c.maybeFinalizeLocked()
+			c.wmu.Unlock()
+			if fin {
+				c.finalize()
+			} else if rearm {
+				c.src.rearm()
+			}
+			return
 		}
-		total := c.popReadyLocked()
-		nb := len(c.batch)
-		c.wcond.Broadcast() // queue shrank: resume a parked reader
 		c.wmu.Unlock()
 
-		if total > 0 {
-			bufs := net.Buffers(c.iov)
-			n, err := bufs.WriteTo(c.nc)
+		var n int
+		n, werr = c.src.writev(c.iov)
+		if n > 0 {
 			rec.Add(c.rtid, obs.CNetBytesOut, uint64(n))
 			rec.Inc(c.rtid, obs.CNetFlushes)
-			rec.Observe(c.rtid, obs.HFlushBatch, uint64(nb))
 			rec.Observe(c.rtid, obs.HFlushBytes, uint64(n))
-			if err != nil {
-				for _, p := range c.batch {
-					releasePending(p)
-				}
-				c.abort()
-				return
-			}
 		}
+		if werr != nil && werr != errAgain {
+			c.abort() // cannot finalize while we hold the flush claim
+		}
+		c.wmu.Lock()
+		if c.dead { // abort cleared the queue under us
+			continue
+		}
+		c.batch = c.batch[:0]
+		rem := n
+		for rem > 0 && c.qhead != nil {
+			p := c.qhead
+			avail := len(p.data) - c.woff
+			if rem < avail {
+				c.woff += rem
+				break
+			}
+			rem -= avail
+			c.woff = 0
+			c.qhead = p.next
+			p.next = nil
+			c.qlen--
+			c.batch = append(c.batch, p)
+		}
+		if c.qhead == nil {
+			c.qtail = nil
+		}
+		if len(c.batch) > 0 {
+			rec.Observe(c.rtid, obs.HFlushBatch, uint64(len(c.batch)))
+		}
+		resume := c.readParked && c.qlen <= pipelineCap/2 && !c.closing
+		if resume {
+			c.readParked = false
+		}
+		c.wmu.Unlock()
+
+		// Still under the flush claim: c.batch is ours.
 		for i, p := range c.batch {
 			releasePending(p)
 			c.batch[i] = nil
 		}
+		if resume {
+			c.resumePump()
+		}
+		c.wmu.Lock()
 	}
 }

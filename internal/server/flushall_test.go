@@ -31,7 +31,7 @@ func (tc *testClient) expectNoLine(window time.Duration) {
 // wait cannot accidentally cover the others.
 func TestFlushAllEpochWaitAllShards(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 4, EpochLength: time.Hour, AllowCrash: true})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	// Skew the shard clocks so the flush's tags sit at distinct epochs.
 	s.mu.RLock()
@@ -60,7 +60,7 @@ func TestFlushAllEpochWaitAllShards(t *testing.T) {
 	// The send returns once the server has read the line, not once it has
 	// run it: watch from a second connection until every key is gone, so
 	// the advances below cannot land before the flush takes its tags.
-	c2 := dialPipe(t, s, 1)
+	c2 := dialPipe(t, s)
 	for _, k := range keys {
 		for {
 			c2.send("get %s\r\n", k)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -42,23 +43,23 @@ func getFuzzServer(f *testing.F) *Server {
 func FuzzProtocol(f *testing.F) {
 	seeds := []string{
 		"set k 0 0 5\r\nhello\r\nget k\r\n",
-		"set k 0 0 5\r\nhel",                       // torn body
-		"set k 0 0 99999999\r\n",                   // oversized declared length
-		"set k 0 0 2147483647\r\nx\r\n",            // over discard cap: must close, not allocate
-		"set k 0 0 -1\r\nx\r\n",                    // negative length
-		"set k 0 0 notanum\r\nx\r\n",               // bad number
-		"\x00\x01\x02 bad magic\r\n",               // binary-protocol magic byte
-		"get\r\nget \r\n gets\r\n",                 // missing keys
-		"get " + strings.Repeat("k", 300) + "\r\n", // oversized key
-		strings.Repeat("a ", maxLineLen) + "\r\n",  // unframeable line
-		"cas k 0 0 1 notacas\r\nx\r\n",             // bad cas token
-		"set k 0 0 2\r\nvvNOPE\r\n",                // missing CRLF terminator
-		"delete\r\ndelete k extra args here\r\n",   // bad arity
-		"touch k\r\ntouch k notanum\r\n",           // bad touch args
-		"durability warp-speed\r\nflush_all x\r\n", // bad extension args
-		"quit\r\nset k 0 0 1\r\nx\r\n",             // commands after quit
-		"set k 0 0 1 noreply\r\nx\r\nbogus\r\n",    // noreply then junk
-		"\r\n\r\n\r\nversion\r\n",                  // blank lines
+		"set k 0 0 5\r\nhel",                              // torn body
+		"set k 0 0 99999999\r\n",                          // oversized declared length
+		"set k 0 0 2147483647\r\nx\r\n",                   // over discard cap: must close, not allocate
+		"set k 0 0 -1\r\nx\r\n",                           // negative length
+		"set k 0 0 notanum\r\nx\r\n",                      // bad number
+		"\x00\x01\x02 bad magic\r\n",                      // binary-protocol magic byte
+		"get\r\nget \r\n gets\r\n",                        // missing keys
+		"get " + strings.Repeat("k", 300) + "\r\n",        // oversized key
+		strings.Repeat("a ", memtext.MaxLineLen) + "\r\n", // unframeable line
+		"cas k 0 0 1 notacas\r\nx\r\n",                    // bad cas token
+		"set k 0 0 2\r\nvvNOPE\r\n",                       // missing CRLF terminator
+		"delete\r\ndelete k extra args here\r\n",          // bad arity
+		"touch k\r\ntouch k notanum\r\n",                  // bad touch args
+		"durability warp-speed\r\nflush_all x\r\n",        // bad extension args
+		"quit\r\nset k 0 0 1\r\nx\r\n",                    // commands after quit
+		"set k 0 0 1 noreply\r\nx\r\nbogus\r\n",           // noreply then junk
+		"\r\n\r\n\r\nversion\r\n",                         // blank lines
 		"stats\r\nversion\r\nverbosity 1 noreply\r\n",
 	}
 	for _, s := range seeds {
@@ -79,7 +80,7 @@ func FuzzProtocol(f *testing.F) {
 		}()
 		done := make(chan struct{})
 		go func() {
-			srv.serveConn(sv, 0)
+			srv.serveConn(sv)
 			close(done)
 		}()
 		select {
@@ -91,10 +92,9 @@ func FuzzProtocol(f *testing.F) {
 	})
 }
 
-// FuzzTokenizer pins the zero-alloc tokenizer to the old allocating
-// splitFields reference: both must produce identical fields for every
-// input, so every command dispatches exactly as it did before the
-// rewrite. (splitFields is retained in protocol.go as this oracle.)
+// FuzzTokenizer pins the zero-alloc tokenizer to bytes.Fields: both
+// must produce identical fields for every input, so a command line
+// dispatches the same however it is split.
 func FuzzTokenizer(f *testing.F) {
 	seeds := []string{
 		"set key 0 0 5",
@@ -102,7 +102,7 @@ func FuzzTokenizer(f *testing.F) {
 		"  leading  and   trailing  ",
 		"\ttabs\tand\vvtabs\fand\ffeeds",
 		"", " ", "\t", "x",
-		"unicode nbsp is not ascii space",
+		"unicode nbsp is not ascii space",
 		"nul\x00byte mid token",
 		"very-long-" + strings.Repeat("k", 300) + " tail",
 		"mixed \r embedded cr",
@@ -111,14 +111,14 @@ func FuzzTokenizer(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
-		want := splitFields(line)
+		want := bytes.Fields(line)
 		got := memtext.AppendFields(nil, line)
 		if len(got) != len(want) {
-			t.Fatalf("field count: tokenizer %d, reference %d (input %q)", len(got), len(want), line)
+			t.Fatalf("field count: tokenizer %d, bytes.Fields %d (input %q)", len(got), len(want), line)
 		}
 		for i := range got {
-			if string(got[i]) != want[i] {
-				t.Fatalf("field %d: tokenizer %q, reference %q (input %q)", i, got[i], want[i], line)
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("field %d: tokenizer %q, bytes.Fields %q (input %q)", i, got[i], want[i], line)
 			}
 		}
 	})

@@ -66,17 +66,18 @@ func (lw *lotWaiter) fire(ok bool) {
 }
 
 // deliver fires every waiter, then flushes their connections on this
-// goroutine — no hand-off; writev never blocks (EAGAIN parks the queue
-// for EPOLLOUT). Settling the whole tick before the first write lets a
-// pipelined connection's acks leave in one vectored write, and the
-// repeat flushes of the same connection find nothing and return.
+// goroutine — no hand-off; a flush never blocks (a full transport parks
+// the queue for its writable edge). Settling the whole tick before the
+// first write lets a pipelined connection's acks leave in one vectored
+// write, and the repeat flushes of the same connection find nothing and
+// return.
 func deliver(ws []*lotWaiter, ok bool) {
 	for _, lw := range ws {
 		lw.fire(ok)
 	}
 	for _, lw := range ws {
 		if lw.c != nil {
-			lw.c.flushRaw()
+			lw.c.flush()
 		}
 	}
 }

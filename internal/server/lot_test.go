@@ -19,7 +19,7 @@ func TestParkingLotSharedSubscriber(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := dialPipe(t, s, i)
+			c := dialPipe(t, s)
 			for j := 0; j < sets; j++ {
 				c.send("set lot%d-%d 0 0 5\r\nvalue\r\n", i, j)
 				c.expect("STORED")
@@ -44,7 +44,7 @@ func TestParkingLotSharedSubscriber(t *testing.T) {
 // parks a waiter.
 func TestParkingLotFastPath(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 	c.send("set k 0 0 1\r\nv\r\n")
 	c.expect("STORED")
 	s.Sync()
@@ -69,7 +69,7 @@ func TestParkingLotCrashAborts(t *testing.T) {
 	// A huge epoch length means no daemon tick will ever release the
 	// waiter; only the crash can.
 	s := newTestServer(t, Config{EpochLength: time.Hour, AllowCrash: true})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 	c.send("durability epoch-wait\r\n")
 	c.expect("OK")
 	c.send("set doomed 0 0 5\r\nvalue\r\n")
@@ -83,7 +83,7 @@ func TestParkingLotCrashAborts(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	c2 := dialPipe(t, s, 1)
+	c2 := dialPipe(t, s)
 	c2.send("crash\r\n")
 	c2.expect("OK")
 	c.expect("SERVER_ERROR crash: write may not be durable")

@@ -1,42 +1,17 @@
 package server
 
-import (
-	"bufio"
-	"bytes"
-	"errors"
+import "errors"
 
-	"montage/internal/memtext"
-)
-
-// Protocol limits. Keys and command lines follow memcached's text
-// protocol; the item-size bound is configurable (Config.MaxItemSize).
-const (
-	// maxKeyLen is memcached's key-length limit.
-	maxKeyLen = memtext.MaxKeyLen
-	// maxLineLen bounds one command line (multi-key gets included). A
-	// longer line cannot be reframed reliably, so it closes the
-	// connection.
-	maxLineLen = 8192
-	// discardCap bounds how much of an oversized item body the server is
-	// willing to swallow to keep the connection framed. Larger declared
-	// sizes close the connection instead.
-	discardCap = 16 << 20
-)
-
-// Canonical protocol responses.
+// Responses only the server produces; the ones every endpoint shares,
+// and the line and body framing, live in internal/memtext.
 var (
-	respStored      = []byte("STORED\r\n")
-	respNotStored   = []byte("NOT_STORED\r\n")
-	respExists      = []byte("EXISTS\r\n")
-	respNotFound    = []byte("NOT_FOUND\r\n")
-	respDeleted     = []byte("DELETED\r\n")
-	respTouched     = []byte("TOUCHED\r\n")
-	respOK          = []byte("OK\r\n")
-	respEnd         = []byte("END\r\n")
-	respError       = []byte("ERROR\r\n")
-	respCrashLost   = []byte("SERVER_ERROR crash: write may not be durable\r\n")
-	respTooLarge    = []byte("SERVER_ERROR object too large for cache\r\n")
-	respTooManyConn = []byte("SERVER_ERROR too many connections\r\n")
+	respStored    = []byte("STORED\r\n")
+	respNotStored = []byte("NOT_STORED\r\n")
+	respExists    = []byte("EXISTS\r\n")
+	respNotFound  = []byte("NOT_FOUND\r\n")
+	respDeleted   = []byte("DELETED\r\n")
+	respTouched   = []byte("TOUCHED\r\n")
+	respCrashLost = []byte("SERVER_ERROR crash: write may not be durable\r\n")
 )
 
 var (
@@ -46,137 +21,6 @@ var (
 	// errQuit is the clean "quit" exit from the command loop.
 	errQuit = errors.New("server: client quit")
 	// errThrottle pauses ingestion: the response queue is full, so the
-	// reader must stop consuming until the flusher drains it.
+	// pump must stop consuming until a flush drains it.
 	errThrottle = errors.New("server: pipeline full")
 )
-
-func clientError(msg string) []byte {
-	return []byte("CLIENT_ERROR " + msg + "\r\n")
-}
-
-func serverError(msg string) []byte {
-	return []byte("SERVER_ERROR " + msg + "\r\n")
-}
-
-// readLine and splitFields are the original allocating protocol
-// reader. They are kept as the reference implementation the tokenizer
-// fuzz harness checks the zero-alloc path against (FuzzTokenizer):
-// the ingest state machine in conn.go must frame and split exactly
-// like bufio.ReadSlice + bytes.Fields did.
-
-// readLine reads one CRLF-terminated command line (tolerating bare LF),
-// returning it without the terminator. Lines longer than the reader's
-// buffer are unrecoverable framing damage.
-func readLine(br *bufio.Reader) ([]byte, int, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			return nil, len(line), errProtocol
-		}
-		return nil, len(line), err
-	}
-	n := len(line)
-	line = line[:len(line)-1]
-	line = bytes.TrimSuffix(line, []byte("\r"))
-	return line, n, nil
-}
-
-// splitFields splits a command line on whitespace, memcached-style.
-func splitFields(line []byte) []string {
-	var out []string
-	for _, f := range bytes.Fields(line) {
-		out = append(out, string(f))
-	}
-	return out
-}
-
-// validKey enforces memcached's key rules: 1..250 bytes, no whitespace
-// or control characters (whitespace is excluded by tokenization already).
-func validKey(key string) bool {
-	if len(key) == 0 || len(key) > maxKeyLen {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		if key[i] <= ' ' || key[i] == 0x7f {
-			return false
-		}
-	}
-	return true
-}
-
-// Storage-header parse errors. Static values so the steady-state error
-// path does not allocate an error per bad command; messages are pinned
-// by protocol tests.
-var (
-	errBadFormat  = errors.New("bad command line format")
-	errBadKey     = errors.New("bad key")
-	errBadFlags   = errors.New("bad flags")
-	errBadExptime = errors.New("bad exptime")
-	errBadLength  = errors.New("bad data length")
-	errBadCAS     = errors.New("bad cas value")
-)
-
-// storageArgs is the parsed header of a storage command
-// (set/add/replace/cas). The key is not held here: parseStorageFields
-// returns it as a borrowed slice that the conn copies into its own
-// key buffer, because the read buffer is compacted before the body
-// arrives.
-type storageArgs struct {
-	klen    int
-	flags   uint32
-	exptime int64
-	bytes   int
-	cas     uint64 // cas command only
-	noreply bool
-}
-
-// parseStorageFields parses "<key> <flags> <exptime> <bytes> [casid]
-// [noreply]" tokens (verb already stripped) into a, returning the
-// borrowed key bytes. Field order and error messages mirror the old
-// parseStorage exactly.
-func parseStorageFields(fields [][]byte, wantCAS bool, a *storageArgs) ([]byte, error) {
-	*a = storageArgs{}
-	n := 4
-	if wantCAS {
-		n = 5
-	}
-	if len(fields) == n+1 && string(fields[n]) == "noreply" {
-		a.noreply = true
-		fields = fields[:n]
-	}
-	if len(fields) != n {
-		return nil, errBadFormat
-	}
-	key := fields[0]
-	if !memtext.ValidKey(key) {
-		return nil, errBadKey
-	}
-	flags, ok := memtext.ParseUint(fields[1], 32)
-	if !ok {
-		return nil, errBadFlags
-	}
-	a.flags = uint32(flags)
-	exptime, ok := memtext.ParseInt(fields[2])
-	if !ok {
-		return nil, errBadExptime
-	}
-	a.exptime = exptime
-	sz, ok := memtext.ParseUint(fields[3], 31)
-	if !ok {
-		return nil, errBadLength
-	}
-	a.bytes = int(sz)
-	if wantCAS {
-		cas, ok := memtext.ParseUint(fields[4], 64)
-		if !ok {
-			return nil, errBadCAS
-		}
-		a.cas = cas
-	}
-	a.klen = len(key)
-	return key, nil
-}
-
-func hasNoreplyTok(args [][]byte) bool {
-	return len(args) > 0 && string(args[len(args)-1]) == "noreply"
-}

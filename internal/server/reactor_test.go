@@ -62,6 +62,60 @@ func dialReactor(t *testing.T, s *Server, sockbuf int) (*testClient, *conn) {
 	return tc, sc
 }
 
+// dialStream is dialReactor's twin for the stream source: the server
+// side of a loopback TCP connection is served on a streamSource, as
+// every connection is off Linux, instead of going on the reactor.
+func dialStream(t *testing.T, s *Server, sockbuf int) (*testClient, *conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan *conn, 1)
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		if sockbuf > 0 {
+			nc.(*net.TCPConn).SetWriteBuffer(sockbuf)
+		}
+		c := s.newConn(nc)
+		newStreamSource(c).start()
+		accepted <- c
+	}()
+	nc, err := net.DialTimeout("tcp", ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	if sockbuf > 0 {
+		if err := nc.(*net.TCPConn).SetReadBuffer(sockbuf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := <-accepted
+	if sc == nil {
+		t.Fatal("accept failed")
+	}
+	return &testClient{t: t, c: nc, br: bufio.NewReaderSize(nc, 64<<10)}, sc
+}
+
+// dialer opens a served TCP connection: dialReactor or dialStream.
+type dialer func(t *testing.T, s *Server, sockbuf int) (*testClient, *conn)
+
+// TestStreamSourceWindows runs the reactor's window tests over the
+// stream source: one pump and one flush serve both, so the same
+// interleavings must hold on pipes and off Linux.
+func TestStreamSourceWindows(t *testing.T) {
+	t.Run("AckSettlesUnderRunningPump", func(t *testing.T) { ackSettlesUnderRunningPump(t, dialStream) })
+	t.Run("ThrottleStall", func(t *testing.T) { throttleStall(t, dialStream) })
+	t.Run("SlowReaderDoesNotHoldTheLot", func(t *testing.T) { slowReaderDoesNotHoldTheLot(t, dialStream) })
+	t.Run("HangUpBehindDataClosesConn", func(t *testing.T) { hangUpBehindDataClosesConn(t, dialStream) })
+}
+
 // waitFor polls cond until it holds or five seconds pass.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -93,9 +147,13 @@ func shard0(s *Server) *epoch.Sys {
 // leaves the response for a pump that may be past its last flush — and
 // the pump then finishes and releases its claim with nothing stranded.
 func TestAckSettlesUnderRunningPump(t *testing.T) {
+	ackSettlesUnderRunningPump(t, dialReactor)
+}
+
+func ackSettlesUnderRunningPump(t *testing.T, dial dialer) {
 	// An hour-long epoch: only the test's own advances persist anything.
 	s := newTestServer(t, Config{EpochLength: time.Hour})
-	c, sc := dialReactor(t, s, 0)
+	c, sc := dial(t, s, 0)
 	c.send("durability epoch-wait\r\n")
 	c.expect("OK")
 	c.send("set a 0 0 1\r\nx\r\n")
@@ -140,7 +198,9 @@ func TestAckSettlesUnderRunningPump(t *testing.T) {
 // the pump carries on without ever parking; with large ones the socket
 // fills, the pump parks, and the poller's flush on the writable edge
 // resumes it. Either way every command is answered.
-func TestThrottleStallReactor(t *testing.T) {
+func TestThrottleStallReactor(t *testing.T) { throttleStall(t, dialReactor) }
+
+func throttleStall(t *testing.T, dial dialer) {
 	const n = pipelineCap + 40
 	for _, big := range []bool{false, true} {
 		name := "own-flush"
@@ -149,7 +209,7 @@ func TestThrottleStallReactor(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s := newTestServer(t, Config{})
-			c, sc := dialReactor(t, s, 64<<10)
+			c, sc := dial(t, s, 64<<10)
 			if big {
 				// A full pipeline of 8 KB responses is 2 MB: several times
 				// what the path can hold.
@@ -183,8 +243,12 @@ func TestThrottleStallReactor(t *testing.T) {
 // still go out; when the slow client reads again, the writable edge
 // finishes its queue.
 func TestSlowReaderDoesNotHoldTheLot(t *testing.T) {
+	slowReaderDoesNotHoldTheLot(t, dialReactor)
+}
+
+func slowReaderDoesNotHoldTheLot(t *testing.T, dial dialer) {
 	s := newTestServer(t, Config{EpochLength: time.Hour})
-	slow, sc := dialReactor(t, s, 64<<10)
+	slow, sc := dial(t, s, 64<<10)
 	const gets = 200 // x 8 KB = 1.6 MB behind one parked ack
 	slow.send("set big 0 0 %d\r\n%s\r\n", 8<<10, strings.Repeat("v", 8<<10))
 	slow.expect("STORED")
@@ -201,7 +265,7 @@ func TestSlowReaderDoesNotHoldTheLot(t *testing.T) {
 		return qlen == gets+1
 	})
 
-	other, _ := dialReactor(t, s, 0)
+	other, _ := dial(t, s, 0)
 	other.send("durability epoch-wait\r\n")
 	other.expect("OK")
 	other.send("set y 0 0 1\r\ny\r\n")
@@ -215,9 +279,13 @@ func TestSlowReaderDoesNotHoldTheLot(t *testing.T) {
 	// Registered after the slow connection, so fired after it: this ack
 	// arrives only if the subscriber came back from the slow flush.
 	other.expect("STORED")
-	if _, _, wantWrite, qlen := sc.state(); !wantWrite || qlen == 0 {
-		t.Fatalf("slow connection not parked on EAGAIN (wantWrite=%v qlen=%d): the socket never filled", wantWrite, qlen)
-	}
+	// The transport's buffers may still be filling (a stream source's
+	// writer takes one buffer-full per edge): the slow queue must end up
+	// parked, not merely be parked at this instant.
+	waitFor(t, "the slow connection to park on a full transport", func() bool {
+		_, _, wantWrite, qlen := sc.state()
+		return wantWrite && qlen > 0
+	})
 
 	slow.expect("STORED")
 	for i := 0; i < gets; i++ {
@@ -271,9 +339,13 @@ func TestSyncGroupCommitUnderPersistDelay(t *testing.T) {
 // later edge would ever report the FIN, and the connection would stay
 // open for good.
 func TestHangUpBehindDataClosesConn(t *testing.T) {
+	hangUpBehindDataClosesConn(t, dialReactor)
+}
+
+func hangUpBehindDataClosesConn(t *testing.T, dial dialer) {
 	s := newTestServer(t, Config{})
-	busy, bc := dialReactor(t, s, 0)
-	c, _ := dialReactor(t, s, 0)
+	busy, bc := dial(t, s, 0)
+	c, _ := dial(t, s, 0)
 
 	// Park the poller inside busy's get: executors take s.mu shared.
 	s.mu.Lock()

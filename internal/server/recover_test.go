@@ -47,7 +47,7 @@ func TestCurrItemsCountsLiveKeys(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		// An hour-long epoch: only sync-mode acks make anything durable.
 		s := newTestServer(t, Config{Shards: shards, AllowCrash: true, EpochLength: time.Hour})
-		c := dialPipe(t, s, 0)
+		c := dialPipe(t, s)
 		check := func(when string, want int) {
 			t.Helper()
 			if got := c.stats()["curr_items"]; got != strconv.Itoa(want) || len(s.Store().Keys(0)) != want {
@@ -86,7 +86,7 @@ func TestCurrItemsCountsLiveKeys(t *testing.T) {
 func TestRecoveryPhasesCoverCrashCommand(t *testing.T) {
 	s := newTestServer(t, Config{AllowCrash: true, ArenaSize: 64 << 20, Buckets: 4096})
 	preload(t, s, 50000)
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 	before := c.stats()
 	start := time.Now()
 	c.send("crash\r\n")
@@ -121,7 +121,7 @@ func BenchmarkStatsCommand(b *testing.B) {
 	}
 	defer s.Shutdown(time.Second)
 	preload(b, s, 100000)
-	c := allocConn(b, s)
+	c := allocConn(s)
 	req := []byte("stats\r\n")
 	c.step(b, req)
 	var before, after runtime.MemStats

@@ -40,6 +40,7 @@ import (
 	"montage/internal/core"
 	"montage/internal/epoch"
 	"montage/internal/kvstore"
+	"montage/internal/memtext"
 	"montage/internal/obs"
 	"montage/internal/pmem"
 	"montage/internal/pool"
@@ -109,10 +110,10 @@ type Config struct {
 	// pool image, the image's own shard count wins.
 	Shards int
 	// MaxConns bounds concurrent connections (default 64). Connections
-	// no longer hold a Montage thread id each: a fixed pool of executor
-	// tids (sized by cores, not connections) is borrowed per read
-	// burst, so MaxConns can be 10k+ without growing the thread-id
-	// space.
+	// hold no Montage thread id: whoever pumps one uses its own or
+	// borrows one from a fixed pool (sized by cores, not connections)
+	// for the pass, so MaxConns can be 10k+ without growing the
+	// thread-id space.
 	MaxConns int
 	// EpochLength is the background epoch advance period (default 10ms,
 	// the paper's choice). Shorter epochs shrink the epoch-wait ack
@@ -166,11 +167,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// serverExecThreads is the executor-tid pool size: connections borrow
-// one tid per read burst instead of owning one for their lifetime, so
-// the Montage thread-id space (and its per-thread structures) scales
-// with cores, not connections. The floor keeps the protocol tests'
-// fixed tids 0..3 plus concurrent borrowers valid.
+// serverExecThreads is the executor-tid pool size: pumps take a tid
+// for life (the poller, the surplus workers) or for one pass (a stream
+// source's reader), so the Montage thread-id space (and its per-thread
+// structures) scales with cores, not connections.
 func serverExecThreads() int {
 	n := 4 * runtime.GOMAXPROCS(0)
 	if n < 8 {
@@ -250,14 +250,21 @@ type Server struct {
 	// the exact same address after a Kill.
 	boundAddr string
 
-	// connSlots enforces MaxConns; connSeq spreads recording tids over
-	// the executor range for reactor connections.
+	// connSlots enforces MaxConns; connSeq spreads connections'
+	// recording tids over the executor range.
 	connSlots atomic.Int32
 	connSeq   atomic.Uint64
 
 	connMu sync.Mutex
 	conns  map[*conn]struct{}
 	connWG sync.WaitGroup
+
+	// The surplus workers (pump.go), started with the first connection,
+	// and their queue; stop ends them and the epoll poller.
+	pumpOnce sync.Once
+	surplus  chan *conn
+	stop     chan struct{}
+	stopOnce sync.Once
 
 	reactorState
 }
@@ -273,9 +280,11 @@ func New(cfg Config) (*Server, error) {
 		execThreads: exec,
 		tids:        make(chan int, exec),
 		conns:       make(map[*conn]struct{}),
+		surplus:     make(chan *conn, cfg.MaxConns),
+		stop:        make(chan struct{}),
 	}
-	// Highest first: the reactor's poller and workers take theirs for
-	// life, and the protocol tests drive pipes on fixed tids 0..3.
+	// The epoll poller and the surplus workers take theirs for life;
+	// every other pump borrows one for a pass.
 	for tid := exec - 1; tid >= 0; tid-- {
 		s.tids <- tid
 	}
@@ -387,21 +396,20 @@ func (s *Server) Serve() error {
 		}
 		if s.connSlots.Add(1) > int32(s.cfg.MaxConns) {
 			s.connSlots.Add(-1)
-			nc.Write(respTooManyConn)
+			nc.Write(memtext.RespTooManyConns)
 			nc.Close()
 			continue
 		}
-		c := s.newConn(nc, -1)
+		c := s.newConn(nc)
 		c.accepted = true
-		s.startConn(c)
-		if s.tryRawConn(c) {
-			// Reactor connection: no goroutines of its own. The poller (or
-			// a surplus worker) reads, executes and replies on readable edges.
-			continue
+		// On the reactor, or — off Linux, or not TCP — the same pump over
+		// a stream source with a reader and a writer goroutine. The source
+		// is set before Kill can see the conn, and its edges start after.
+		if c.src = s.rawSource(c); c.src == nil {
+			c.src = newStreamSource(c)
 		}
-		go func() {
-			c.runBlocking()
-		}()
+		s.startConn(c)
+		c.src.start()
 	}
 }
 
@@ -415,7 +423,7 @@ func (s *Server) startConn(c *conn) {
 }
 
 // finishConn is the exactly-once teardown bookkeeping (via conn
-// finalize/closeNow).
+// finalize).
 func (s *Server) finishConn(c *conn) {
 	s.connMu.Lock()
 	delete(s.conns, c)
@@ -594,7 +602,7 @@ func (s *Server) Shutdown(drain time.Duration) error {
 		}
 		<-done
 	}
-	s.closeReactor()
+	s.stopOnce.Do(func() { close(s.stop) })
 	var err error
 	s.mu.RLock()
 	defer s.mu.RUnlock()

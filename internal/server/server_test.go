@@ -9,11 +9,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"montage/internal/memtext"
 )
 
 // newTestServer builds a small montage-backed server (no listener; the
-// tests drive serveConn directly over pipes unless they Listen
-// themselves).
+// tests drive serveConn — the stream source — directly over pipes
+// unless they Listen themselves).
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	if cfg.ArenaSize == 0 {
@@ -47,14 +49,14 @@ type testClient struct {
 	wg sync.WaitGroup
 }
 
-func dialPipe(t *testing.T, s *Server, tid int) *testClient {
+func dialPipe(t *testing.T, s *Server) *testClient {
 	t.Helper()
 	cl, sv := net.Pipe()
 	tc := &testClient{t: t, c: cl, br: bufio.NewReader(cl)}
 	tc.wg.Add(1)
 	go func() {
 		defer tc.wg.Done()
-		s.serveConn(sv, tid)
+		s.serveConn(sv)
 	}()
 	t.Cleanup(func() {
 		cl.Close()
@@ -91,7 +93,7 @@ func (tc *testClient) expect(want ...string) {
 
 func TestSetGetDelete(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("set greet 42 0 5\r\nhello\r\n")
 	c.expect("STORED")
@@ -111,7 +113,7 @@ func TestSetGetDelete(t *testing.T) {
 
 func TestAddReplaceCASOverWire(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("add k 0 0 2\r\nv1\r\n")
 	c.expect("STORED")
@@ -143,7 +145,7 @@ func TestAddReplaceCASOverWire(t *testing.T) {
 
 func TestNoreplyAndPipelining(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	// A pipelined burst: noreply commands produce nothing; the rest come
 	// back in order.
@@ -159,7 +161,7 @@ func TestNoreplyAndPipelining(t *testing.T) {
 
 func TestTouchAndExpiry(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	// Negative exptime stores the item already expired.
 	c.send("set dead 0 -1 1\r\nx\r\n")
@@ -179,7 +181,7 @@ func TestTouchAndExpiry(t *testing.T) {
 
 func TestDurabilityModes(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("durability\r\n")
 	c.expect("DURABILITY buffered")
@@ -206,7 +208,7 @@ func TestDurabilityModes(t *testing.T) {
 
 func TestProtocolErrors(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("bogus\r\n")
 	c.expect("ERROR")
@@ -234,7 +236,7 @@ func TestProtocolErrors(t *testing.T) {
 
 func TestOversizedValue(t *testing.T) {
 	s := newTestServer(t, Config{MaxItemSize: 1024})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	big := strings.Repeat("x", 2048)
 	c.send("set k 0 0 2048\r\n%s\r\n", big)
@@ -246,11 +248,11 @@ func TestOversizedValue(t *testing.T) {
 
 func TestLineTooLongClosesConn(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	// The pipe is unbuffered, so the oversized line must be written from a
 	// goroutine: the server stops reading mid-line to respond.
-	go io.WriteString(c.c, "get "+strings.Repeat("k ", maxLineLen)+"\r\n")
+	go io.WriteString(c.c, "get "+strings.Repeat("k ", memtext.MaxLineLen)+"\r\n")
 	c.expect("SERVER_ERROR line too long")
 	if _, err := c.br.ReadString('\n'); err == nil {
 		t.Fatal("connection survived an unframeable line")
@@ -259,7 +261,7 @@ func TestLineTooLongClosesConn(t *testing.T) {
 
 func TestStatsAndFlushAll(t *testing.T) {
 	s := newTestServer(t, Config{})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("set a 0 0 1\r\nx\r\nset b 0 0 1\r\ny\r\n")
 	c.expect("STORED", "STORED")
@@ -281,7 +283,7 @@ func TestStatsAndFlushAll(t *testing.T) {
 
 func TestTransientBackendDegradesToBuffered(t *testing.T) {
 	s := newTestServer(t, Config{Backend: "dram"})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("durability sync\r\n")
 	c.expect("OK")

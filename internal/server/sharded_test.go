@@ -18,7 +18,7 @@ func TestShardedServerEpochWaitAcks(t *testing.T) {
 	if got := s.NumShards(); got != 4 {
 		t.Fatalf("NumShards = %d, want 4", got)
 	}
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("durability epoch-wait\r\n")
 	c.expect("OK")
@@ -42,7 +42,7 @@ func TestShardedServerEpochWaitAcks(t *testing.T) {
 // shards count plus per-shard epoch/persisted-epoch pairs.
 func TestShardedServerStats(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 3})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("stats\r\n")
 	stats := map[string]string{}
@@ -74,7 +74,7 @@ func TestShardedServerStats(t *testing.T) {
 // pool.
 func TestShardedServerCrashRecovery(t *testing.T) {
 	s := newTestServer(t, Config{Shards: 2, AllowCrash: true, EpochLength: time.Hour})
-	c := dialPipe(t, s, 0)
+	c := dialPipe(t, s)
 
 	c.send("durability sync\r\n")
 	c.expect("OK")
@@ -110,7 +110,7 @@ func TestShardedServerPoolReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pool.d")
 
 	s1 := newTestServer(t, Config{Shards: 3, PoolPath: path})
-	c := dialPipe(t, s1, 0)
+	c := dialPipe(t, s1)
 	for i := 0; i < 12; i++ {
 		c.send("set persist-%d 0 0 2\r\nok\r\n", i)
 		c.expect("STORED")
@@ -125,7 +125,7 @@ func TestShardedServerPoolReopen(t *testing.T) {
 	if got := s2.NumShards(); got != 3 {
 		t.Fatalf("reopened NumShards = %d, want 3 (image must win)", got)
 	}
-	c2 := dialPipe(t, s2, 0)
+	c2 := dialPipe(t, s2)
 	for i := 0; i < 12; i++ {
 		c2.send("get persist-%d\r\n", i)
 		c2.expect(fmt.Sprintf("VALUE persist-%d 0 2", i), "ok", "END")
