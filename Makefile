@@ -49,6 +49,9 @@ vet: lint-dead
 # And the protocol vocabulary lives once, in internal/memtext: no
 # package keeps its own line reader, storage-header parser or
 # error-line builders.
+# Every structure recovers through pds.rebuild: no copying tag filter
+# and no chunk-to-thread-id rule outside pds.go. The lock-based Stack
+# (LFStack has its operations) is gone, and its tag 7 stays retired.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -57,6 +60,9 @@ lint-dead:
 	@! ls BENCH_[0-9]*.json 2>/dev/null
 	@! grep -rnE 'readLoop|fallbackWriter|runBlocking|closeNow|popReadyLocked|flushRaw|wcond|splitFields' --include='*.go' internal cmd
 	@! grep -rnE 'func (readLine|clientError|serverError|hasNoreply|parseStorage)' --include='*.go' internal cmd
+	@! grep -rn 'core\.FilterByTag' --include='*.go' internal/pds
+	@! grep -rnE '%[[:space:]]*threads\b' --include='*.go' --exclude=pds.go internal/pds
+	@! grep -rnE '\bNewStack(Tagged)?\b|\bRecoverStack(Tagged)?\b|\bTagStack\b|pds\.Stack\b' --include='*.go' .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

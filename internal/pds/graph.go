@@ -420,11 +420,6 @@ func RecoverGraph(sys *core.System, nStripes int, chunks [][]*core.PBlk) (*Graph
 // RecoverGraphTagged rebuilds a graph from the payloads carrying tag.
 func RecoverGraphTagged(sys *core.System, nStripes int, chunks [][]*core.PBlk, tag uint16) (*Graph, error) {
 	g := NewGraphTagged(sys, nStripes, tag)
-	filtered := make([][]*core.PBlk, len(chunks))
-	for i, c := range chunks {
-		filtered[i] = core.FilterByTag(c, tag)
-	}
-	chunks = filtered
 	workers := len(chunks)
 	if workers == 0 {
 		return g, nil
@@ -441,56 +436,35 @@ func RecoverGraphTagged(sys *core.System, nStripes int, chunks [][]*core.PBlk, t
 	// Phase 1: classify payloads; route records to their owners.
 	vertBuf := make([][][]vertRec, workers) // [from][to]
 	edgeBuf := make([][][]edgeRec, workers)
-	errs := make([]error, workers)
-	threads := sys.Epochs().Config().MaxThreads
-	var wg sync.WaitGroup
 	for w := range chunks {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			vertBuf[w] = make([][]vertRec, workers)
-			edgeBuf[w] = make([][]edgeRec, workers)
-			tid := w % threads
-			for _, p := range chunks[w] {
-				data := sys.Read(tid, p)
-				if len(data) == 0 {
-					errs[w] = fmt.Errorf("%w: empty graph payload", ErrCorruptPayload)
-					return
-				}
-				switch data[0] {
-				case tagVertex:
-					id, _, ok := decodeVertex(data)
-					if !ok {
-						errs[w] = ErrCorruptPayload
-						return
-					}
-					o := int(id) % workers
-					vertBuf[w][o] = append(vertBuf[w][o], vertRec{id, p})
-				case tagEdge:
-					src, dst, _, ok := decodeEdge(data)
-					if !ok {
-						errs[w] = ErrCorruptPayload
-						return
-					}
-					// The edge goes to both endpoint owners; the lower
-					// owner creates the shared ref in phase 2 and the
-					// higher one links it in phase 3.
-					o := int(src) % workers
-					edgeBuf[w][o] = append(edgeBuf[w][o], edgeRec{src, dst, p})
-				}
-			}
-		}(w)
+		vertBuf[w] = make([][]vertRec, workers)
+		edgeBuf[w] = make([][]edgeRec, workers)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	owner := func(id uint64) int { return int(id % uint64(workers)) }
+	if _, err := rebuild(sys, chunks, tag, func(w, _ int, p *core.PBlk, data []byte) error {
+		if id, _, ok := decodeVertex(data); ok {
+			o := owner(id)
+			vertBuf[w][o] = append(vertBuf[w][o], vertRec{id, p})
+			return nil
 		}
+		src, dst, _, ok := decodeEdge(data)
+		if !ok {
+			return ErrCorruptPayload
+		}
+		// The edge is routed to its source's owner, which links it into
+		// both endpoints in phase 3, once phase 2 has made every vertex.
+		o := owner(src)
+		edgeBuf[w][o] = append(edgeBuf[w][o], edgeRec{src, dst, p})
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
-	// Phase 2: each owner inserts its vertices (disjoint id sets, but
-	// stripes are shared across owners, so stripe maps are filled under
-	// the stripe lock).
+	// Phase 2: each owner inserts its vertices (disjoint id sets, so a
+	// repeated id meets itself at one owner; stripes are shared across
+	// owners, so stripe maps are filled under the stripe lock).
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
 	for o := 0; o < workers; o++ {
 		wg.Add(1)
 		go func(o int) {
@@ -499,6 +473,9 @@ func RecoverGraphTagged(sys *core.System, nStripes int, chunks [][]*core.PBlk, t
 				for _, vr := range vertBuf[w][o] {
 					st := g.stripe(vr.id)
 					st.mu.Lock()
+					if _, dup := st.vertices[vr.id]; dup {
+						errs[o] = fmt.Errorf("%w: vertex %d recovered twice", ErrCorruptPayload, vr.id)
+					}
 					st.vertices[vr.id] = &vertexNode{id: vr.id, payload: vr.p, edges: make(map[uint64]*edgeRef)}
 					st.mu.Unlock()
 				}

@@ -74,55 +74,42 @@ func RecoverHashMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*Has
 }
 
 // RecoverHashMapTagged rebuilds a map from the payloads carrying tag.
-// Chunk w is rebuilt as thread id w modulo the system's thread ids. Each
-// bucket's list is sorted once, after every pair has been pushed onto a
-// head: walking the list on each insert costs a chain of cache misses per
-// pair, since other buckets' inserts come in between.
+// Each bucket's list is sorted once, after rebuild has pushed every pair
+// onto a head: walking the list on each insert costs a chain of cache
+// misses per pair, since other buckets' inserts come in between. The
+// sort is also where a key held by two payloads shows, as adjacent
+// equal keys.
 func RecoverHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk, tag uint16) (*HashMap, error) {
 	m := NewHashMapTagged(sys, nBuckets, tag)
-	threads := sys.Epochs().Config().MaxThreads
-	errs := make([]error, len(chunks))
+	n, err := rebuildKV(sys, chunks, tag, func(_ int, key string, p *core.PBlk) error {
+		b := m.bucketFor(key)
+		b.mu.Lock()
+		b.head = &mapNode{key: key, payload: p, next: b.head}
+		b.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	m.count.Store(int64(n))
+	dup := make([]bool, len(chunks))
 	var wg sync.WaitGroup
-	for w, chunk := range chunks {
-		wg.Add(1)
-		go func(w int, chunk []*core.PBlk) {
-			defer wg.Done()
-			tid, n := w%threads, 0
-			for _, p := range chunk {
-				if p.Tag() != tag {
-					continue
-				}
-				key, _, ok := decodeKV(sys.Read(tid, p))
-				if !ok {
-					errs[w] = ErrCorruptPayload
-					return
-				}
-				b := m.bucketFor(key)
-				b.mu.Lock()
-				b.head = &mapNode{key: key, payload: p, next: b.head}
-				b.mu.Unlock()
-				n++
-			}
-			m.count.Add(int64(n))
-		}(w, chunk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	for w := range chunks {
 		wg.Add(1)
-		go func(part []bucket) {
+		go func(w int, part []bucket) {
 			defer wg.Done()
 			var nodes []*mapNode
 			for i := range part {
-				nodes = part[i].sortNodes(nodes[:0])
+				if nodes, dup[w] = part[i].sortNodes(nodes[:0]); dup[w] {
+					return
+				}
 			}
-		}(m.buckets[w*len(m.buckets)/len(chunks) : (w+1)*len(m.buckets)/len(chunks)])
+		}(w, m.buckets[w*len(m.buckets)/len(chunks):(w+1)*len(m.buckets)/len(chunks)])
 	}
 	wg.Wait()
+	if slices.Contains(dup, true) {
+		return nil, ErrCorruptPayload
+	}
 	return m, nil
 }
 
@@ -131,20 +118,23 @@ func (m *HashMap) bucketFor(key string) *bucket {
 }
 
 // sortNodes puts the bucket's list in key order, using nodes as scratch
-// and returning it for reuse.
-func (b *bucket) sortNodes(nodes []*mapNode) []*mapNode {
+// and returning it for reuse, and reports whether two nodes hold the
+// same key.
+func (b *bucket) sortNodes(nodes []*mapNode) ([]*mapNode, bool) {
 	if b.head == nil || b.head.next == nil {
-		return nodes
+		return nodes, false
 	}
 	for n := b.head; n != nil; n = n.next {
 		nodes = append(nodes, n)
 	}
 	slices.SortFunc(nodes, func(x, y *mapNode) int { return strings.Compare(x.key, y.key) })
 	b.head = nil
+	dup := false
 	for i := len(nodes) - 1; i >= 0; i-- {
+		dup = dup || i > 0 && nodes[i-1].key == nodes[i].key
 		nodes[i].next, b.head = b.head, nodes[i]
 	}
-	return nodes
+	return nodes, dup
 }
 
 // Get returns a copy of the value stored under key. Read-only

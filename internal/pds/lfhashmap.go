@@ -1,13 +1,6 @@
 package pds
 
-import (
-	"sync"
-
-	"montage/internal/core"
-)
-
-// TagLFHashMap is the default tag of LFHashMap payloads.
-const TagLFHashMap uint16 = 8
+import "montage/internal/core"
 
 // LFHashMap is a nonblocking Montage hashmap: a fixed array of buckets,
 // each an LFSet-style lock-free sorted list. It combines the hashmap's
@@ -49,40 +42,10 @@ func RecoverLFHashMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*L
 // RecoverLFHashMapTagged rebuilds the map from payloads carrying tag.
 func RecoverLFHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk, tag uint16) (*LFHashMap, error) {
 	m := NewLFHashMapTagged(sys, nBuckets, tag)
-	threads := sys.Epochs().Config().MaxThreads
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for w, chunk := range chunks {
-		wg.Add(1)
-		go func(w int, chunk []*core.PBlk) {
-			defer wg.Done()
-			tid := w % threads
-			for _, p := range core.FilterByTag(chunk, tag) {
-				key, _, ok := decodeKV(sys.Read(tid, p))
-				if !ok {
-					errs[w] = ErrCorruptPayload
-					return
-				}
-				b := m.bucket(key)
-				node := &lfsNode{key: key, payload: p}
-				for {
-					prev, curr := b.find(tid, key)
-					if curr != nil && curr.key == key {
-						break
-					}
-					node.next.Store(curr, false)
-					if prev.next.CAS(curr, false, node, false) {
-						break
-					}
-				}
-			}
-		}(w, chunk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if _, err := rebuildKV(sys, chunks, tag, func(tid int, key string, p *core.PBlk) error {
+		return m.bucket(key).link(tid, key, p)
+	}); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

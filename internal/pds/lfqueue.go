@@ -1,8 +1,6 @@
 package pds
 
 import (
-	"sort"
-
 	"montage/internal/core"
 	"montage/internal/dcss"
 )
@@ -50,20 +48,10 @@ func RecoverLFQueue(sys *core.System, payloads []*core.PBlk) (*LFQueue, error) {
 
 // RecoverLFQueueTagged rebuilds the queue from the payloads carrying tag.
 func RecoverLFQueueTagged(sys *core.System, payloads []*core.PBlk, tag uint16) (*LFQueue, error) {
-	payloads = core.FilterByTag(payloads, tag)
-	type rec struct {
-		seq uint64
-		p   *core.PBlk
+	recs, err := recoverSeq(sys, payloads, tag)
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]rec, 0, len(payloads))
-	for _, p := range payloads {
-		seq, _, ok := decodeSeqVal(sys.Read(0, p))
-		if !ok {
-			return nil, ErrCorruptPayload
-		}
-		recs = append(recs, rec{seq, p})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
 	q := &LFQueue{sys: sys, tag: tag}
 	base := uint64(0)
 	if len(recs) > 0 {

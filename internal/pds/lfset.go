@@ -1,8 +1,6 @@
 package pds
 
 import (
-	"sync"
-
 	"montage/internal/core"
 	"montage/internal/dcss"
 )
@@ -42,46 +40,27 @@ func RecoverLFSet(sys *core.System, chunks [][]*core.PBlk) (*LFSet, error) {
 // RecoverLFSetTagged rebuilds the set from the payloads carrying tag.
 func RecoverLFSetTagged(sys *core.System, chunks [][]*core.PBlk, tag uint16) (*LFSet, error) {
 	s := NewLFSetTagged(sys, tag)
-	filtered := make([][]*core.PBlk, len(chunks))
-	for i, c := range chunks {
-		filtered[i] = core.FilterByTag(c, tag)
-	}
-	chunks = filtered
-	threads := sys.Epochs().Config().MaxThreads
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for w, chunk := range chunks {
-		wg.Add(1)
-		go func(w int, chunk []*core.PBlk) {
-			defer wg.Done()
-			tid := w % threads
-			for _, p := range chunk {
-				key, _, ok := decodeKV(sys.Read(tid, p))
-				if !ok {
-					errs[w] = ErrCorruptPayload
-					return
-				}
-				node := &lfsNode{key: key, payload: p}
-				for {
-					prev, curr := s.find(tid, key)
-					if curr != nil && curr.key == key {
-						break // duplicate uid impossible; defensive
-					}
-					node.next.Store(curr, false)
-					if prev.next.CAS(curr, false, node, false) {
-						break
-					}
-				}
-			}
-		}(w, chunk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if _, err := rebuildKV(sys, chunks, tag, s.link); err != nil {
+		return nil, err
 	}
 	return s, nil
+}
+
+// link inserts a recovered (key, payload) with plain CASes: only other
+// rebuild workers run concurrently, so there is no epoch to verify. A
+// key already present is ErrCorruptPayload.
+func (s *LFSet) link(tid int, key string, p *core.PBlk) error {
+	node := &lfsNode{key: key, payload: p}
+	for {
+		prev, curr := s.find(tid, key)
+		if curr != nil && curr.key == key {
+			return ErrCorruptPayload
+		}
+		node.next.Store(curr, false)
+		if prev.next.CAS(curr, false, node, false) {
+			return nil
+		}
+	}
 }
 
 // find returns (prev, curr) where curr is the first unmarked node with

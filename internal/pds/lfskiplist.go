@@ -9,9 +9,6 @@ import (
 	"montage/internal/dcss"
 )
 
-// TagLFSkipList is the default tag of LFSkipList payloads.
-const TagLFSkipList uint16 = 9
-
 // LFSkipList is a nonblocking ordered Montage map: a lock-free skiplist
 // (in the Fraser/Herlihy-Shavit style) whose bottom-level link and mark
 // CASes are epoch-verified, so inserts and removes linearize in the
@@ -60,32 +57,8 @@ func RecoverLFSkipList(sys *core.System, chunks [][]*core.PBlk) (*LFSkipList, er
 // RecoverLFSkipListTagged rebuilds the map from payloads carrying tag.
 func RecoverLFSkipListTagged(sys *core.System, chunks [][]*core.PBlk, tag uint16) (*LFSkipList, error) {
 	m := NewLFSkipListTagged(sys, tag)
-	threads := sys.Epochs().Config().MaxThreads
-	errs := make([]error, len(chunks))
-	var wg sync.WaitGroup
-	for w, chunk := range chunks {
-		wg.Add(1)
-		go func(w int, chunk []*core.PBlk) {
-			defer wg.Done()
-			tid := w % threads
-			for _, p := range core.FilterByTag(chunk, tag) {
-				key, _, ok := decodeKV(sys.Read(tid, p))
-				if !ok {
-					errs[w] = ErrCorruptPayload
-					return
-				}
-				if !m.insertNode(tid, key, p) {
-					errs[w] = ErrCorruptPayload // duplicate key in recovery set
-					return
-				}
-			}
-		}(w, chunk)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if _, err := rebuildKV(sys, chunks, tag, m.insertNode); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -139,13 +112,13 @@ retry:
 
 // insertNode links (key, payload) with plain CASes (recovery only; no
 // epoch verification needed because no operations are concurrent with
-// rebuild). Returns false if the key is already present.
-func (m *LFSkipList) insertNode(tid int, key string, p *core.PBlk) bool {
+// rebuild). A key already present is ErrCorruptPayload.
+func (m *LFSkipList) insertNode(tid int, key string, p *core.PBlk) error {
 	preds := make([]*lfskipNode, lfskipMaxLevel)
 	succs := make([]*lfskipNode, lfskipMaxLevel)
 	for {
 		if c := m.find(tid, key, preds, succs); c != nil && c.key == key {
-			return false
+			return ErrCorruptPayload
 		}
 		top := m.randLevel()
 		node := &lfskipNode{key: key, payload: p, next: make([]dcss.Cell[lfskipNode], top+1), top: top}
@@ -157,7 +130,7 @@ func (m *LFSkipList) insertNode(tid int, key string, p *core.PBlk) bool {
 		}
 		m.linkUpper(tid, node, preds, succs)
 		m.size.Add(1)
-		return true
+		return nil
 	}
 }
 

@@ -1,15 +1,11 @@
 package pds
 
 import (
-	"sort"
 	"sync/atomic"
 
 	"montage/internal/core"
 	"montage/internal/dcss"
 )
-
-// TagLFStack is the default tag of LFStack payloads.
-const TagLFStack uint16 = 11
 
 // LFStack is a nonblocking Montage stack: a Treiber stack whose push and
 // pop CASes are epoch-verified, completing the nonblocking counterparts
@@ -47,24 +43,14 @@ func RecoverLFStack(sys *core.System, payloads []*core.PBlk) (*LFStack, error) {
 
 // RecoverLFStackTagged rebuilds the stack from payloads carrying tag.
 func RecoverLFStackTagged(sys *core.System, payloads []*core.PBlk, tag uint16) (*LFStack, error) {
-	payloads = core.FilterByTag(payloads, tag)
-	type rec struct {
-		depth uint64
-		p     *core.PBlk
+	recs, err := recoverSeq(sys, payloads, tag)
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]rec, 0, len(payloads))
-	for _, p := range payloads {
-		d, _, ok := decodeSeqVal(sys.Read(0, p))
-		if !ok {
-			return nil, ErrCorruptPayload
-		}
-		recs = append(recs, rec{d, p})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].depth < recs[j].depth })
 	s := NewLFStackTagged(sys, tag)
 	var top *lfstkNode
 	for _, r := range recs {
-		top = &lfstkNode{payload: r.p, depth: r.depth, next: top}
+		top = &lfstkNode{payload: r.p, depth: r.seq, next: top}
 	}
 	s.top.Store(top, false)
 	s.size.Store(int64(len(recs)))

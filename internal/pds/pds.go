@@ -1,16 +1,32 @@
 // Package pds provides the persistent data structures built on the
-// Montage runtime: the single-lock queue and lock-per-bucket hashmap used
-// in the paper's evaluation (Sections 6.1–6.2), the nonblocking queue and
-// set sketched in Section 3.3, a skiplist-indexed ordered map, and the
-// general graph of Section 6.3.
+// Montage runtime:
+//
+//   - lock-based: the single-lock Queue and lock-per-bucket HashMap of
+//     the paper's evaluation (Sections 6.1–6.2), the skiplist-indexed
+//     ordered SkipListMap, the index-addressed Vector, and the general
+//     Graph of Section 6.3;
+//   - nonblocking (Section 3.3, on epoch-verified CASes): LFQueue,
+//     LFStack, LFSet, LFHashMap and the ordered LFSkipList.
 //
 // Every structure follows the same recipe: the semantic state (items,
 // key-value pairs, vertices and edges) lives in Montage payloads; the
 // lookup structure is transient, synchronizes all concurrent access, and
-// is rebuilt from the payloads after a crash.
+// is rebuilt from the payloads after a crash. Every rebuild goes through
+// one loop, rebuild: keyed structures insert each decoded payload into
+// their index (rebuildKV; a key held by two payloads is
+// ErrCorruptPayload), and ordered ones (the queues, LFStack, Vector) sort
+// the payloads by the sequence label each carries (recoverSeq).
 package pds
 
-import "encoding/binary"
+import (
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"slices"
+	"sync"
+
+	"montage/internal/core"
+)
 
 // Default owning-structure tags. Every payload a structure creates
 // carries its tag, so several structures can share one Montage system
@@ -30,7 +46,104 @@ const (
 	TagSkipList uint16 = 5
 	// TagGraph is the default tag of Graph payloads.
 	TagGraph uint16 = 6
+	// Tag 7 belonged to a lock-based stack that was deleted (LFStack
+	// provides the same operations). It is retired and never reused, so
+	// an old image's stack payloads are never read as another structure's.
+
+	// TagLFHashMap is the default tag of LFHashMap payloads.
+	TagLFHashMap uint16 = 8
+	// TagLFSkipList is the default tag of LFSkipList payloads.
+	TagLFSkipList uint16 = 9
+	// TagVector is the default tag of Vector payloads.
+	TagVector uint16 = 10
+	// TagLFStack is the default tag of LFStack payloads.
+	TagLFStack uint16 = 11
 )
+
+// ErrCorruptPayload reports a recovered payload that does not decode as
+// the structure expects, or a key that two recovered payloads both
+// hold; it indicates a bug, cross-structure mixing or a damaged image,
+// never a legal crash outcome (torn blocks are filtered by checksums
+// before recovery sees them).
+var ErrCorruptPayload = errors.New("pds: recovered payload has unexpected format")
+
+// rebuild is every structure's recovery loop. It runs one goroutine per
+// chunk, chunk w as thread id w modulo the system's thread ids, and
+// calls fn once for each payload carrying tag with the payload's data
+// (read once, so the virtual clock is charged once per payload). A chunk
+// stops at its first error; rebuild returns the error of the first
+// failing chunk, or the number of payloads visited.
+func rebuild(sys *core.System, chunks [][]*core.PBlk, tag uint16, fn func(w, tid int, p *core.PBlk, data []byte) error) (int, error) {
+	threads := sys.Epochs().Config().MaxThreads
+	counts := make([]int, len(chunks))
+	errs := make([]error, len(chunks))
+	var wg sync.WaitGroup
+	for w, chunk := range chunks {
+		wg.Add(1)
+		go func(w int, chunk []*core.PBlk) {
+			defer wg.Done()
+			tid, n := w%threads, 0
+			for _, p := range chunk {
+				if p.Tag() != tag {
+					continue
+				}
+				if errs[w] = fn(w, tid, p, sys.Read(tid, p)); errs[w] != nil {
+					return
+				}
+				n++
+			}
+			counts[w] = n
+		}(w, chunk)
+	}
+	wg.Wait()
+	n := 0
+	for w := range chunks {
+		if errs[w] != nil {
+			return 0, errs[w]
+		}
+		n += counts[w]
+	}
+	return n, nil
+}
+
+// rebuildKV is rebuild for the key-value structures: it decodes each
+// payload's key and hands it to insert, which links the payload into the
+// index or, when the key is already there, returns ErrCorruptPayload.
+func rebuildKV(sys *core.System, chunks [][]*core.PBlk, tag uint16, insert func(tid int, key string, p *core.PBlk) error) (int, error) {
+	return rebuild(sys, chunks, tag, func(_, tid int, p *core.PBlk, data []byte) error {
+		key, _, ok := decodeKV(data)
+		if !ok {
+			return ErrCorruptPayload
+		}
+		return insert(tid, key, p)
+	})
+}
+
+// seqRec is one recovered item of an ordered structure: its sequence
+// label (queue position, stack depth or vector index) and its payload.
+type seqRec struct {
+	seq uint64
+	p   *core.PBlk
+}
+
+// recoverSeq is the ordered structures' rebuild: the payloads carrying
+// tag, read as thread id 0 and sorted by their sequence labels.
+func recoverSeq(sys *core.System, payloads []*core.PBlk, tag uint16) ([]seqRec, error) {
+	var recs []seqRec
+	_, err := rebuild(sys, [][]*core.PBlk{payloads}, tag, func(_, _ int, p *core.PBlk, data []byte) error {
+		seq, _, ok := decodeSeqVal(data)
+		if !ok {
+			return ErrCorruptPayload
+		}
+		recs = append(recs, seqRec{seq, p})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(recs, func(a, b seqRec) int { return cmp.Compare(a.seq, b.seq) })
+	return recs, nil
+}
 
 // encodeKV serializes a key-value pair into one payload data section:
 // a 4-byte key length, the key, then the value.

@@ -2,8 +2,10 @@ package pds
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -598,6 +600,123 @@ func TestRecoverMoreWorkersThanThreads(t *testing.T) {
 				}
 				if len(chunks) != 8 || got != rb.want {
 					t.Fatalf("%d chunks, %d items; want 8, %d", len(chunks), got, rb.want)
+				}
+			})
+		}
+	}
+}
+
+// TestRebuildRejectsCorruptPayloads feeds every Recover* a recovery set
+// no crash can produce — a payload of the structure's tag whose last byte
+// is cut off, and (keyed structures) one key held by two payloads, as two
+// instances on one system leave it — and expects ErrCorruptPayload.
+// Recovery sets come from image files, so rebuilds must check both.
+func TestRebuildRejectsCorruptPayloads(t *testing.T) {
+	v := []byte("v")
+	twice := func(put func() error) error {
+		for i := 0; i < 2; i++ {
+			if err := put(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	rebuilds := []struct {
+		name    string
+		tag     uint16
+		header  []byte // the shortest well-formed payload: no value
+		dup     func(sys *core.System) error
+		recover func(sys *core.System, chunks [][]*core.PBlk) error
+	}{
+		{"Queue", TagQueue, encodeSeqVal(1, nil), nil, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverQueue(sys, slices.Concat(chunks...))
+			return err
+		}},
+		{"LFQueue", TagLFQueue, encodeSeqVal(1, nil), nil, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverLFQueue(sys, slices.Concat(chunks...))
+			return err
+		}},
+		{"LFStack", TagLFStack, encodeSeqVal(1, nil), nil, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverLFStack(sys, slices.Concat(chunks...))
+			return err
+		}},
+		{"Vector", TagVector, encodeSeqVal(0, nil), nil, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverVector(sys, slices.Concat(chunks...))
+			return err
+		}},
+		{"HashMap", TagHashMap, encodeKV("k", nil), func(sys *core.System) error {
+			return twice(func() error { _, err := NewHashMap(sys, 16).Put(0, "k", v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverHashMap(sys, 16, chunks)
+			return err
+		}},
+		{"LFHashMap", TagLFHashMap, encodeKV("k", nil), func(sys *core.System) error {
+			return twice(func() error { _, err := NewLFHashMap(sys, 16).Insert(0, "k", v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverLFHashMap(sys, 16, chunks)
+			return err
+		}},
+		{"LFSet", TagLFSet, encodeKV("k", nil), func(sys *core.System) error {
+			return twice(func() error { _, err := NewLFSet(sys).Insert(0, "k", v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverLFSet(sys, chunks)
+			return err
+		}},
+		{"LFSkipList", TagLFSkipList, encodeKV("k", nil), func(sys *core.System) error {
+			return twice(func() error { _, err := NewLFSkipList(sys).Insert(0, "k", v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverLFSkipList(sys, chunks)
+			return err
+		}},
+		{"SkipListMap", TagSkipList, encodeKV("k", nil), func(sys *core.System) error {
+			return twice(func() error { _, err := NewSkipListMap(sys).Put(0, "k", v); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverSkipListMap(sys, slices.Concat(chunks...))
+			return err
+		}},
+		{"Graph", TagGraph, encodeVertex(1, nil), func(sys *core.System) error {
+			return twice(func() error { _, err := NewGraph(sys, 16).AddVertex(0, 7, v, nil); return err })
+		}, func(sys *core.System, chunks [][]*core.PBlk) error {
+			_, err := RecoverGraph(sys, 16, chunks)
+			return err
+		}},
+	}
+	for _, rb := range rebuilds {
+		cases := []struct {
+			name string
+			fill func(sys *core.System) error
+		}{
+			{"truncated", func(sys *core.System) error {
+				return sys.DoOp(0, func(op core.Op) error {
+					_, err := op.PNewTagged(rb.tag, rb.header[:len(rb.header)-1])
+					return err
+				})
+			}},
+			{"duplicate", rb.dup},
+		}
+		for _, c := range cases {
+			if c.fill == nil {
+				continue // ordered structures have no keys
+			}
+			t.Run(rb.name+"/"+c.name, func(t *testing.T) {
+				cfg := core.Config{ArenaSize: 1 << 22, MaxThreads: 2}
+				sys, err := core.NewSystem(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.fill(sys); err != nil {
+					t.Fatal(err)
+				}
+				sys.Sync(0)
+				sys.Abandon()
+				sys.Device().Crash(pmem.CrashDropAll)
+				sys2, chunks, err := core.RecoverParallel(sys.Device(), cfg, 2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sys2.Abandon()
+				if err := rb.recover(sys2, chunks); !errors.Is(err, ErrCorruptPayload) {
+					t.Fatalf("recover: %v, want ErrCorruptPayload", err)
 				}
 			})
 		}

@@ -1,19 +1,11 @@
 package pds
 
 import (
-	"errors"
-	"sort"
 	"sync"
 
 	"montage/internal/core"
 	"montage/internal/simclock"
 )
-
-// ErrCorruptPayload reports a recovered payload that does not decode as
-// the structure expects; it indicates a bug or cross-structure mixing,
-// never a legal crash outcome (torn blocks are filtered by checksums
-// before recovery sees them).
-var ErrCorruptPayload = errors.New("pds: recovered payload has unexpected format")
 
 // Queue is the Montage queue of Section 6.1: a single global lock
 // protects a transient ring of payload pointers, and each item's payload
@@ -50,22 +42,11 @@ func RecoverQueue(sys *core.System, payloads []*core.PBlk) (*Queue, error) {
 
 // RecoverQueueTagged rebuilds a queue from the payloads carrying tag.
 func RecoverQueueTagged(sys *core.System, payloads []*core.PBlk, tag uint16) (*Queue, error) {
-	payloads = core.FilterByTag(payloads, tag)
-	q := &Queue{sys: sys, tag: tag, head: 1, tail: 1}
-	sys.Clock().Register(&q.vlock)
-	type rec struct {
-		seq uint64
-		p   *core.PBlk
+	recs, err := recoverSeq(sys, payloads, tag)
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]rec, 0, len(payloads))
-	for _, p := range payloads {
-		seq, _, ok := decodeSeqVal(sys.Read(0, p))
-		if !ok {
-			return nil, ErrCorruptPayload
-		}
-		recs = append(recs, rec{seq, p})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].seq < recs[j].seq })
+	q := NewQueueTagged(sys, tag)
 	if len(recs) > 0 {
 		q.head = recs[0].seq
 		q.tail = recs[len(recs)-1].seq + 1

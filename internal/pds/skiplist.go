@@ -54,14 +54,16 @@ func RecoverSkipListMap(sys *core.System, payloads []*core.PBlk) (*SkipListMap, 
 
 // RecoverSkipListMapTagged rebuilds the map from payloads carrying tag.
 func RecoverSkipListMapTagged(sys *core.System, payloads []*core.PBlk, tag uint16) (*SkipListMap, error) {
-	payloads = core.FilterByTag(payloads, tag)
 	m := NewSkipListMapTagged(sys, tag)
-	for _, p := range payloads {
-		key, _, ok := decodeKV(sys.Read(0, p))
-		if !ok {
-			return nil, ErrCorruptPayload
+	preds := make([]*skipNode, skipMaxLevel)
+	if _, err := rebuildKV(sys, [][]*core.PBlk{payloads}, tag, func(tid int, key string, p *core.PBlk) error {
+		if c := m.findPredecessors(tid, key, preds); c != nil && c.key == key {
+			return ErrCorruptPayload
 		}
-		m.insertNode(key, p)
+		m.link(key, p, preds)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
@@ -90,10 +92,9 @@ func (m *SkipListMap) findPredecessors(tid int, key string, preds []*skipNode) *
 	return x.next[0]
 }
 
-// insertNode links a (key, payload) into the index. Caller holds mu.
-func (m *SkipListMap) insertNode(key string, p *core.PBlk) {
-	preds := make([]*skipNode, skipMaxLevel)
-	m.findPredecessors(0, key, preds)
+// link splices a new node for (key, payload) in after preds, the
+// rightmost nodes before key at every level. Caller holds mu.
+func (m *SkipListMap) link(key string, p *core.PBlk, preds []*skipNode) {
 	lvl := m.randLevel()
 	n := &skipNode{key: key, payload: p, next: make([]*skipNode, lvl)}
 	for i := 0; i < lvl; i++ {
@@ -148,13 +149,7 @@ func (m *SkipListMap) Put(tid int, key string, val []byte) (prev []byte, err err
 		if perr != nil {
 			return perr
 		}
-		lvl := m.randLevel()
-		n := &skipNode{key: key, payload: p, next: make([]*skipNode, lvl)}
-		for i := 0; i < lvl; i++ {
-			n.next[i] = preds[i].next[i]
-			preds[i].next[i] = n
-		}
-		m.n++
+		m.link(key, p, preds)
 		return nil
 	})
 	return prev, err

@@ -2,15 +2,11 @@ package pds
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"montage/internal/core"
 	"montage/internal/simclock"
 )
-
-// TagVector is the default tag of Vector payloads.
-const TagVector uint16 = 10
 
 // ErrIndexOutOfRange reports a vector access beyond the current length.
 var ErrIndexOutOfRange = errors.New("pds: vector index out of range")
@@ -50,23 +46,13 @@ func RecoverVector(sys *core.System, payloads []*core.PBlk) (*Vector, error) {
 // The surviving indices must be contiguous from zero (they always are:
 // Append and PopBack maintain contiguity and each is one operation).
 func RecoverVectorTagged(sys *core.System, payloads []*core.PBlk, tag uint16) (*Vector, error) {
-	payloads = core.FilterByTag(payloads, tag)
-	type rec struct {
-		idx uint64
-		p   *core.PBlk
+	recs, err := recoverSeq(sys, payloads, tag)
+	if err != nil {
+		return nil, err
 	}
-	recs := make([]rec, 0, len(payloads))
-	for _, p := range payloads {
-		idx, _, ok := decodeSeqVal(sys.Read(0, p))
-		if !ok {
-			return nil, ErrCorruptPayload
-		}
-		recs = append(recs, rec{idx, p})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].idx < recs[j].idx })
 	v := NewVectorTagged(sys, tag)
 	for i, r := range recs {
-		if r.idx != uint64(i) {
+		if r.seq != uint64(i) {
 			return nil, ErrCorruptPayload
 		}
 		v.elems = append(v.elems, r.p)

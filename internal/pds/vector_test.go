@@ -3,6 +3,7 @@ package pds
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"montage/internal/core"
@@ -160,6 +161,50 @@ func TestCrashFuzzVector(t *testing.T) {
 		}
 		if stateInPrefixes(queueState(all), states) < 0 {
 			t.Fatalf("vector seed %d: recovered state is not a prefix state", seed)
+		}
+	}
+}
+
+func TestVectorConcurrentAppend(t *testing.T) {
+	sys := newSys(t)
+	v := NewVector(sys)
+	var wg sync.WaitGroup
+	indices := make([][]int, 4)
+	for tid := 0; tid < 4; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < 150; i++ {
+				idx, err := v.Append(tid, []byte{byte(tid)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				indices[tid] = append(indices[tid], idx)
+			}
+		}(tid)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for {
+		select {
+		case <-done:
+			goto check
+		default:
+			sys.Advance()
+		}
+	}
+check:
+	if v.Len() != 600 {
+		t.Fatalf("Len = %d", v.Len())
+	}
+	seen := map[int]bool{}
+	for _, list := range indices {
+		for _, idx := range list {
+			if seen[idx] {
+				t.Fatalf("index %d assigned twice", idx)
+			}
+			seen[idx] = true
 		}
 	}
 }

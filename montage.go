@@ -192,17 +192,6 @@ func RecoverSkipListMap(sys *System, payloads []*PBlk) (*SkipListMap, error) {
 	return pds.RecoverSkipListMap(sys, payloads)
 }
 
-// Stack is the Montage LIFO stack.
-type Stack = pds.Stack
-
-// NewStack creates an empty stack.
-func NewStack(sys *System) *Stack { return pds.NewStack(sys) }
-
-// RecoverStack rebuilds a stack from recovered payloads.
-func RecoverStack(sys *System, payloads []*PBlk) (*Stack, error) {
-	return pds.RecoverStack(sys, payloads)
-}
-
 // LFHashMap is the nonblocking Montage hashmap (buckets of
 // epoch-verified Harris lists).
 type LFHashMap = pds.LFHashMap

@@ -52,7 +52,6 @@ func TestPublicAPIAllStructures(t *testing.T) {
 	sys, cfg := newSystem(t, 2)
 	q := montage.NewQueue(sys)
 	lq := montage.NewLFQueue(sys)
-	st := montage.NewStack(sys)
 	lst := montage.NewLFStack(sys)
 	vec := montage.NewVector(sys)
 	s := montage.NewLFSet(sys)
@@ -66,9 +65,6 @@ func TestPublicAPIAllStructures(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := lq.Enqueue(0, []byte{byte(i + 100)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.Push(0, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 		if err := lst.Push(0, []byte{byte(i)}); err != nil {
@@ -109,10 +105,6 @@ func TestPublicAPIAllStructures(t *testing.T) {
 	lq2, err := montage.RecoverLFQueue(sys2, payloads)
 	if err != nil || lq2.Len() != 10 {
 		t.Fatalf("lfqueue: %v", err)
-	}
-	st2, err := montage.RecoverStack(sys2, payloads)
-	if err != nil || st2.Len() != 10 {
-		t.Fatalf("stack: %v", err)
 	}
 	lst2, err := montage.RecoverLFStack(sys2, payloads)
 	if err != nil || lst2.Len() != 10 {
