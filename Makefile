@@ -52,6 +52,12 @@ vet: lint-dead
 # Every structure recovers through pds.rebuild: no copying tag filter
 # and no chunk-to-thread-id rule outside pds.go. The lock-based Stack
 # (LFStack has its operations) is gone, and its tag 7 stays retired.
+# The epoch-boundary drain commits its batch serially on the advancing
+# goroutine: Drain starts no goroutine and calls commitBatch once, and the
+# drain-parallelism knob (SetDrainWorkers, Config.DrainWorkers,
+# -drain-workers, the drain_workers histogram) stays deleted.
+# cmd/montage-crash is gone too: montage-chaos -workers 1 -mode
+# drop|partial covers its single-threaded prefix oracle.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -63,6 +69,10 @@ lint-dead:
 	@! grep -rn 'core\.FilterByTag' --include='*.go' internal/pds
 	@! grep -rnE '%[[:space:]]*threads\b' --include='*.go' --exclude=pds.go internal/pds
 	@! grep -rnE '\bNewStack(Tagged)?\b|\bRecoverStack(Tagged)?\b|\bTagStack\b|pds\.Stack\b' --include='*.go' .
+	@! grep -rnE 'SetDrainWorkers|DrainWorkers|drainParallelism|HDrainWorkers|drain-workers|drain_workers' --include='*.go' .
+	@! awk '/^func \(d \*Device\) Drain\(/,/^}/' internal/pmem/pmem.go | grep -nE '^[[:space:]]*go[[:space:]]|WaitGroup'
+	@test "$$(awk '/^func \(d \*Device\) Drain\(/,/^}/' internal/pmem/pmem.go | grep -c 'commitBatch(')" = 1
+	@! test -e cmd/montage-crash
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

@@ -59,7 +59,6 @@ func main() {
 	poolPath := flag.String("pool", "", "pool image path (empty: in-memory only)")
 	shards := flag.Int("shards", 1, "independent epoch-domain shards (an existing -pool image's count wins)")
 	arena := flag.Int("arena", 64<<20, "arena size in bytes (per shard)")
-	drainWorkers := flag.Int("drain-workers", 0, "commit workers per epoch-boundary drain (0: auto from GOMAXPROCS, 1: serial)")
 	statsFile := flag.String("stats-file", "", "stream runtime-stats snapshots as JSONL to this file")
 	statsInterval := flag.Duration("stats-interval", time.Second, "sample interval for -stats-file (0: only a final snapshot)")
 	flag.Parse()
@@ -71,11 +70,10 @@ func main() {
 	cfg := montage.PoolConfig{
 		Shards: *shards,
 		Core: montage.Config{
-			ArenaSize:    *arena,
-			MaxThreads:   1,
-			Epoch:        montage.EpochConfig{EpochLength: montage.DefaultEpochLength},
-			DrainWorkers: *drainWorkers,
-			Recorder:     rec,
+			ArenaSize:  *arena,
+			MaxThreads: 1,
+			Epoch:      montage.EpochConfig{EpochLength: montage.DefaultEpochLength},
+			Recorder:   rec,
 		},
 	}
 

@@ -72,7 +72,6 @@ func main() {
 	maxConns := flag.Int("max-conns", 64, "max concurrent connections")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "epoch advance period (shorter: faster epoch-wait acks)")
 	persistDelay := flag.Duration("persist-delay", 0, "emulated device persist latency per epoch advance (0: simulated device is free)")
-	drainWorkers := flag.Int("drain-workers", 0, "commit workers per epoch-boundary drain (0: auto from GOMAXPROCS, 1: serial)")
 	durability := flag.String("durability", "buffered", "default ack mode: buffered, sync, or epoch-wait")
 	maxItem := flag.Int("max-item-size", 1<<20, "max item value size in bytes")
 	allowCrash := flag.Bool("allow-crash", false, "enable the crash protocol extension")
@@ -123,7 +122,6 @@ func main() {
 		MaxConns:     *maxConns,
 		EpochLength:  *epochLen,
 		PersistDelay: *persistDelay,
-		DrainWorkers: *drainWorkers,
 		DefaultMode:  mode,
 		MaxItemSize:  *maxItem,
 		AllowCrash:   *allowCrash,

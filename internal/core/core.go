@@ -48,11 +48,6 @@ type Config struct {
 	Costs *simclock.Costs
 	// SuperblockSize overrides the allocator superblock size.
 	SuperblockSize int
-	// DrainWorkers fixes the parallelism of the device's epoch-boundary
-	// drain: the combined cross-thread write-back batch is partitioned
-	// over this many commit workers. 0 (the default) sizes it
-	// automatically from GOMAXPROCS; 1 forces a serial drain.
-	DrainWorkers int
 	// Recorder, when non-nil, is the observability recorder the system
 	// reports to; sharing one recorder across systems aggregates their
 	// counters (the benchmark harness does this). When nil, NewSystem and
@@ -101,7 +96,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	rec := recorderFor(cfg)
 	dev := pmem.NewDevice(cfg.ArenaSize, cfg.MaxThreads, clk)
-	dev.SetDrainWorkers(cfg.DrainWorkers)
 	// Attach the recorder before the heap and epoch system are built so
 	// both inherit it (the epoch daemon may start ticking immediately).
 	dev.SetRecorder(rec)

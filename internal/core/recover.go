@@ -42,10 +42,8 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	}
 	rec := recorderFor(cfg)
 	// Attach before the sweep so recovery reads and the new system's
-	// epoch daemon are instrumented from the start; a reopened device
-	// also inherits the configured drain parallelism.
+	// epoch daemon are instrumented from the start.
 	dev.SetRecorder(rec)
-	dev.SetDrainWorkers(cfg.DrainWorkers)
 	// The machine has restarted: lift the device's fail-stop so the sweep's
 	// invalidations and the new system's clock can reach the media. Writes
 	// staged before the crash stay dead behind the crash floor.

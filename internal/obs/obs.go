@@ -143,7 +143,6 @@ const (
 	HFenceBatch                  // staged blocks committed per Fence
 	HDrainBatch                  // staged blocks committed per Drain
 	HCombineRatio                // write-backs per committed block x100 per fence/drain (100 = no combining)
-	HDrainWorkers                // commit workers used per Drain
 	HAckSyncNs                   // sync-mode ack wait: forced Sync on the request path (wall ns)
 	HAckEpochNs                  // epoch-wait-mode ack park time until the epoch persisted (wall ns)
 	HPipelineDepth               // per-connection response-queue depth sampled at each enqueue

@@ -39,7 +39,6 @@ var promHistNames = [numHists]string{
 	HFenceBatch:    "fence_batch",
 	HDrainBatch:    "drain_batch",
 	HCombineRatio:  "combine_ratio_x100",
-	HDrainWorkers:  "drain_workers",
 	HAckSyncNs:     "ack_sync_ns",
 	HAckEpochNs:    "ack_epoch_wait_ns",
 	HPipelineDepth: "pipeline_depth",

@@ -201,7 +201,6 @@ type LatencyStats struct {
 	FenceBatch    HistStats `json:"fence_batch"`
 	DrainBatch    HistStats `json:"drain_batch"`
 	CombineRatio  HistStats `json:"combine_ratio_x100"`
-	DrainWorkers  HistStats `json:"drain_workers"`
 	AckSyncNs     HistStats `json:"ack_sync_ns"`
 	AckEpochNs    HistStats `json:"ack_epoch_wait_ns"`
 	PipelineDepth HistStats `json:"pipeline_depth"`
@@ -440,7 +439,6 @@ func buildSnapshot(raw *rawStats) Snapshot {
 		FenceBatch:    summarize(&raw.hists[HFenceBatch]),
 		DrainBatch:    summarize(&raw.hists[HDrainBatch]),
 		CombineRatio:  summarize(&raw.hists[HCombineRatio]),
-		DrainWorkers:  summarize(&raw.hists[HDrainWorkers]),
 		AckSyncNs:     summarize(&raw.hists[HAckSyncNs]),
 		AckEpochNs:    summarize(&raw.hists[HAckEpochNs]),
 		PipelineDepth: summarize(&raw.hists[HPipelineDepth]),

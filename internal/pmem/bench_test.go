@@ -64,7 +64,7 @@ func BenchmarkWriteBackUnique(b *testing.B) {
 }
 
 // BenchmarkDrain measures the epoch daemon's boundary drain with writes
-// spread across every worker thread, the path the parallel drain partitions.
+// spread across every worker thread, committed in one serial pass.
 func BenchmarkDrain(b *testing.B) {
 	const (
 		threads = 8

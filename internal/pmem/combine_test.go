@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -39,41 +40,36 @@ func TestWriteBackCoalescesSameBlock(t *testing.T) {
 // threads interleave write-backs to one overlapping address set, and the
 // drain must leave each block holding its globally newest write — the
 // issue order across threads, not any per-thread or per-batch order.
-// It runs the serial drain and the partitioned parallel drain over the
-// same interleaving; both must agree.
 func TestDrainGlobalWriteOrder(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		const threads = 8
-		d := NewDevice(1<<20, threads, nil)
-		d.SetDrainWorkers(workers)
-		addrs := make([]Addr, 128)
-		for i := range addrs {
-			addrs[i] = Addr(64 + 64*i)
+	const threads = 8
+	d := NewDevice(1<<20, threads, nil)
+	addrs := make([]Addr, 128)
+	for i := range addrs {
+		addrs[i] = Addr(64 + 64*i)
+	}
+	// A deterministic interleaving: each step picks a thread and a
+	// block, so every block accumulates staged entries on several
+	// threads with interleaved sequence stamps.
+	r := rand.New(rand.NewSource(3))
+	want := make(map[Addr]byte)
+	for i := 0; i < 4096; i++ {
+		tid := r.Intn(threads)
+		a := addrs[r.Intn(len(addrs))]
+		v := byte(i)
+		if err := d.WriteBack(tid, a, bytes.Repeat([]byte{v}, 64)); err != nil {
+			t.Fatal(err)
 		}
-		// A deterministic interleaving: each step picks a thread and a
-		// block, so every block accumulates staged entries on several
-		// threads with interleaved sequence stamps.
-		r := rand.New(rand.NewSource(3))
-		want := make(map[Addr]byte)
-		for i := 0; i < 4096; i++ {
-			tid := r.Intn(threads)
-			a := addrs[r.Intn(len(addrs))]
-			v := byte(i)
-			if err := d.WriteBack(tid, a, bytes.Repeat([]byte{v}, 64)); err != nil {
-				t.Fatal(err)
-			}
-			want[a] = v
+		want[a] = v
+	}
+	d.Drain(simclock.DaemonTID)
+	got := make([]byte, 64)
+	for a, v := range want {
+		if err := d.Read(0, a, got); err != nil {
+			t.Fatal(err)
 		}
-		d.Drain(simclock.DaemonTID)
-		got := make([]byte, 64)
-		for a, v := range want {
-			if err := d.Read(0, a, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, bytes.Repeat([]byte{v}, 64)) {
-				t.Fatalf("workers=%d: block %d = %d..., want %d (globally newest write)",
-					workers, a, got[0], v)
-			}
+		if !bytes.Equal(got, bytes.Repeat([]byte{v}, 64)) {
+			t.Fatalf("block %d = %d..., want %d (globally newest write)",
+				a, got[0], v)
 		}
 	}
 }
@@ -122,7 +118,8 @@ func TestCrashPartialOrderIndependentOfThreadLayout(t *testing.T) {
 
 // TestSteadyStateWriteBackZeroAllocs asserts the pooling contract: once
 // a thread's staging pool is warm, the WriteBack+Fence cycle allocates
-// nothing.
+// nothing, and neither does an epoch advance's device work: the daemon's
+// Drain of every thread's staged blocks, then its one-block clock fence.
 func TestSteadyStateWriteBackZeroAllocs(t *testing.T) {
 	d := NewDevice(1<<16, 1, nil)
 	addrs := make([]Addr, 8)
@@ -144,6 +141,49 @@ func TestSteadyStateWriteBackZeroAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("steady-state WriteBack+Fence allocates %.1f/op, want 0", n)
 	}
+
+	const threads, perThr = 8, 64
+	dd := NewDevice(1<<20, threads, nil)
+	drain := func() {
+		for tid := 0; tid < threads; tid++ {
+			for w := 0; w < perThr; w++ {
+				if err := dd.WriteBack(tid, Addr(64+256*(tid*perThr+w)), data); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for w := 0; w < perThr; w++ {
+			if err := dd.WriteBack(simclock.DaemonTID, Addr(64+256*(threads*perThr+w)), data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dd.Drain(simclock.DaemonTID)
+		if err := dd.WriteBack(simclock.DaemonTID, 32, data[:8]); err != nil {
+			t.Fatal(err)
+		}
+		dd.Fence(simclock.DaemonTID)
+	}
+	for i := 0; i < 3; i++ {
+		drain()
+	}
+	if n := mallocsPerRun(100, drain); n != 0 {
+		t.Fatalf("steady-state Drain of %d threads x %d blocks and a clock fence allocates %d/op, want 0", threads, perThr, n)
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS=1 pin: a
+// Drain that handed its batch to other goroutines would allocate only
+// when more than one processor is available. Like AllocsPerRun it
+// rounds down, so a stray allocation elsewhere in the process is not
+// charged to f.
+func mallocsPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // fillEncoder is a trivial Encoder for the zero-alloc test.
@@ -285,6 +325,7 @@ func TestFenceCostForgetsBulkBatch(t *testing.T) {
 		tf = best(fresh, tf)
 		tb = best(bulk, tb)
 	}
+	t.Logf("one-block fence: %v per 2000 cycles after a bulk batch, %v fresh (%.2fx)", tb, tf, float64(tb)/float64(tf))
 	if tb > 2*tf {
 		t.Fatalf("one-block fence after a bulk batch: %v per 2000 cycles, fresh device %v (want within 2x)", tb, tf)
 	}

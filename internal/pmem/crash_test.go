@@ -138,7 +138,7 @@ func TestDisarmCrash(t *testing.T) {
 
 func TestCrashFloorDropsStolenBatch(t *testing.T) {
 	// White-box: a commit attempt for a batch stolen BEFORE the crash
-	// (a fence or drain worker that lost the race with the power failure)
+	// (a fence or drain that lost the race with the power failure)
 	// must not reach the media — every write at or below the crash floor
 	// is dead. This is the second line of defense behind the armed crash
 	// points, for the race that cannot be staged from outside.

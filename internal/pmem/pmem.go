@@ -19,9 +19,11 @@
 // the same block coalesce into one staged copy (newest wins), so an
 // epoch's worth of updates to a hot payload commits exactly once at the
 // fence. Staged copies are recycled through a per-thread pool, making the
-// steady-state WriteBack+Fence path allocation-free, and Drain partitions
-// the combined cross-thread batch over several workers so the epoch
-// daemon's persist step is not serialized behind one lock.
+// steady-state WriteBack+Fence and Drain paths allocation-free. Drain
+// commits the combined cross-thread batch serially on its caller's
+// goroutine; the per-address coherence state is striped so that concurrent
+// worker fences and the recovery sweep's reads do not serialize behind one
+// lock.
 package pmem
 
 import (
@@ -30,7 +32,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -68,15 +69,26 @@ type threadBuf struct {
 	pool     [][]byte     // recycled staging copies
 	inactive []stagedWrite
 	absorbed uint64 // write-backs coalesced into an existing entry since the last steal
-	// indexHigh is the largest batch index has ever held: a Go map keeps
-	// the capacity of its high-water mark, and clear pays for all of it.
+	// indexHigh is the largest batch the current index table has held: a
+	// Go map keeps the capacity of its high-water mark, and clear pays for
+	// all of it.
 	indexHigh int
+	// smallSteals counts the steals in a row that were under
+	// indexHigh/clearShare.
+	smallSteals int
 }
 
 // clearShare is the share of the index's high-water mark below which a
 // steal deletes its own keys instead of clearing the table: clear is a
 // few ns per slot of capacity, delete a few tens of ns per key.
 const clearShare = 8
+
+// forgetSteals is the run of small steals after which the index table
+// is dropped. An epoch advance alternates a large drain with a one-block
+// clock fence on the same buffer, so dropping at the first small steal
+// would regrow the table every epoch; a bulk batch (a preload) followed
+// only by small ones is forgotten after this many.
+const forgetSteals = 64
 
 // stageLocked returns a staging buffer of n bytes for addr, coalescing
 // with an existing staged entry for the same block (newest wins, at block
@@ -137,9 +149,11 @@ func (b *threadBuf) stealLocked() ([]stagedWrite, uint64) {
 	batch := b.staged
 	b.staged = b.inactive[:0]
 	b.inactive = nil
-	// Reset in O(staged), not O(high-water): after one bulk batch (a
-	// preload), clear alone would charge every later one-block fence for
-	// the bulk batch's table.
+	// After one bulk batch (a preload) the index keeps the bulk batch's
+	// table: clear would charge every later one-block fence for all of it,
+	// and even a lookup hashes into it. A batch well below the high-water
+	// mark deletes its own keys, and a long enough run of them drops the
+	// table (the next stage allocates a fresh one).
 	if len(batch) > b.indexHigh {
 		b.indexHigh = len(batch)
 	}
@@ -147,8 +161,13 @@ func (b *threadBuf) stealLocked() ([]stagedWrite, uint64) {
 		for i := range batch {
 			delete(b.index, batch[i].addr)
 		}
+		if b.smallSteals++; b.smallSteals == forgetSteals {
+			b.index = nil
+			b.indexHigh, b.smallSteals = 0, 0
+		}
 	} else {
 		clear(b.index)
+		b.smallSteals = 0
 	}
 	writes := b.absorbed + uint64(len(batch))
 	b.absorbed = 0
@@ -168,9 +187,9 @@ func (b *threadBuf) recycleLocked(batch []stagedWrite) {
 }
 
 // numStripes is the number of coherence stripes the per-address commit
-// state is sharded over. Committers lock only their block's stripe, so
-// a parallel drain's workers and concurrent worker fences do not
-// serialize behind one global mutex.
+// state is sharded over. Committers and readers lock only their block's
+// stripe, so concurrent worker fences and the parallel recovery sweep's
+// reads do not serialize behind one global mutex.
 const numStripes = 16
 
 // stripe holds the last committed sequence numbers for the addresses
@@ -201,11 +220,10 @@ type Device struct {
 	durable []byte
 	stripes [numStripes]stripe
 
-	seq          atomic.Uint64
-	drainWorkers atomic.Int32
-	threads      []threadBuf
-	clk          *simclock.Clock
-	stats        obs.Holder
+	seq     atomic.Uint64
+	threads []threadBuf
+	clk     *simclock.Clock
+	stats   obs.Holder
 
 	// drainMu serializes whole-device steals (Drain, Crash) and guards
 	// their reusable scratch.
@@ -224,7 +242,7 @@ type Device struct {
 	failed atomic.Bool
 	// crashFloor is the global sequence stamp at the most recent crash.
 	// Every staged write with seq <= crashFloor died in that crash; a
-	// commit attempt for one (a fence or drain worker that had already
+	// commit attempt for one (a fence or drain that had already
 	// stolen its batch when the power failed) must not reach the media.
 	crashFloor atomic.Uint64
 
@@ -264,17 +282,6 @@ func NewDevice(size int, maxThreads int, clk *simclock.Clock) *Device {
 		d.stripes[i].lastSeq = make(map[Addr]uint64)
 	}
 	return d
-}
-
-// SetDrainWorkers fixes the number of workers a Drain partitions its
-// combined batch over. n <= 0 restores the default: GOMAXPROCS capped at
-// 8, scaled down for small batches. Safe to call while the device is in
-// use.
-func (d *Device) SetDrainWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.drainWorkers.Store(int32(n))
 }
 
 // stripeFor hashes a block address to its coherence stripe.
@@ -368,13 +375,13 @@ func (d *Device) finishStage(tid, n int, coalesced bool) {
 // commitBatch applies a batch of staged writes to the media, skipping any
 // write superseded by a newer committed write to the same block. It
 // returns the batch's byte count. Entries touch only their own block's
-// stripe, so concurrent commitBatch calls (worker fences, parallel drain
-// workers) proceed independently.
+// stripe, so concurrent commitBatch calls (worker fences, a drain)
+// proceed independently.
 func (d *Device) commitBatch(batch []stagedWrite) uint64 {
 	var bytes uint64
 	d.arenaMu.RLock()
 	// Writes staged at or below the crash floor died with the machine: a
-	// fence or drain worker that had already stolen its batch when Crash
+	// fence or drain that had already stolen its batch when Crash
 	// fired must not land it on the media afterward and let recovery see
 	// blocks that were never fenced. Crash publishes the floor under the
 	// exclusive arena lock, so a batch is committed entirely before the
@@ -480,34 +487,13 @@ func (d *Device) recycleAllLocked() {
 	d.drainBatches = d.drainBatches[:0]
 }
 
-// drainParallelism picks the number of commit workers for an n-entry
-// combined batch.
-func (d *Device) drainParallelism(n int) int {
-	nw := int(d.drainWorkers.Load())
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-		if nw > 8 {
-			nw = 8
-		}
-	}
-	// Partitioning has a per-worker handoff cost; keep chunks substantial.
-	const minPerWorker = 32
-	if maxW := n / minPerWorker; nw > maxW {
-		nw = maxW
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	return nw
-}
-
 // Drain commits every staged write from every thread, in global write
 // order. It models the epoch daemon waiting for all outstanding
 // write-backs — including those issued incrementally by worker threads —
-// to reach the persistence domain before advancing the epoch clock. Large
-// combined batches are partitioned across workers (see SetDrainWorkers);
-// per-block coherence is preserved by the stripes' newest-wins check, so
-// partition boundaries need no alignment.
+// to reach the persistence domain before advancing the epoch clock. The
+// combined batch commits in one serial pass on the caller's goroutine;
+// the stripes' newest-wins check keeps it coherent with worker fences
+// committing concurrently.
 func (d *Device) Drain(tid int) {
 	d.drainMu.Lock()
 	all, writes := d.stealAllLocked()
@@ -529,29 +515,8 @@ func (d *Device) Drain(tid int) {
 		return
 	}
 	var bytes uint64
-	nw := 1
 	if len(all) > 0 {
-		nw = d.drainParallelism(len(all))
-		if nw > 1 {
-			chunk := (len(all) + nw - 1) / nw
-			var wg sync.WaitGroup
-			var byteCount atomic.Uint64
-			for lo := 0; lo < len(all); lo += chunk {
-				hi := lo + chunk
-				if hi > len(all) {
-					hi = len(all)
-				}
-				wg.Add(1)
-				go func(part []stagedWrite) {
-					defer wg.Done()
-					byteCount.Add(d.commitBatch(part))
-				}(all[lo:hi])
-			}
-			wg.Wait()
-			bytes = byteCount.Load()
-		} else {
-			bytes = d.commitBatch(all)
-		}
+		bytes = d.commitBatch(all)
 		d.recycleAllLocked()
 	}
 	d.drainMu.Unlock()
@@ -559,7 +524,6 @@ func (d *Device) Drain(tid int) {
 	if rec := d.stats.Get(); rec != nil {
 		rec.Inc(tid, obs.CDrains)
 		rec.Observe(tid, obs.HDrainBatch, uint64(len(all)))
-		rec.Observe(tid, obs.HDrainWorkers, uint64(nw))
 		if len(all) > 0 {
 			rec.Observe(tid, obs.HCombineRatio, writes*100/uint64(len(all)))
 			rec.Add(tid, obs.CCommits, uint64(len(all)))

@@ -129,9 +129,6 @@ type Config struct {
 	DefaultMode AckMode
 	// MaxItemSize bounds one item's value (default 1 MiB).
 	MaxItemSize int
-	// DrainWorkers fixes each shard's epoch-boundary drain parallelism
-	// (0: automatic; 1: serial). See core.Config.DrainWorkers.
-	DrainWorkers int
 	// AllowCrash enables the "crash" protocol extension.
 	AllowCrash bool
 	// Recorder, when non-nil, receives the server's counters; when nil
@@ -194,8 +191,7 @@ func (c Config) coreConfig() core.Config {
 			EpochLength:  c.EpochLength,
 			PersistDelay: c.PersistDelay,
 		},
-		DrainWorkers: c.DrainWorkers,
-		Recorder:     c.Recorder,
+		Recorder: c.Recorder,
 	}
 }
 
