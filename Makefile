@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint-dead bench bench-smoke serve-smoke conns-smoke cluster-smoke chaos-smoke clean
+.PHONY: build test race vet lint-dead bench bench-smoke serve-smoke conns-smoke chaos-smoke clean
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,8 @@ test: vet serve-smoke
 # worker), the epoch system, the data structures, the sharded pool
 # (concurrent writers + whole-pool crash/recovery), the core engine, the
 # striped-LRU kvstore, the network front end (shared epoch-wait parking
-# lot), the cluster proxy (per-client executor/collector pairs
-# multiplexing pipelines over shared backend fleets), and the chaos
-# harness (workers, advancer and crash racing on one pool). The
+# lot, one pump per connection over the reactor or a stream source), and
+# the chaos harness (workers, advancer and crash racing on one pool). The
 # library-level durability regression fails only intermittently when it
 # fails at all, so it gets five extra runs. The server's TestAllocs* gates
 # are skipped: under the race detector sync.Pool drops items at random,
@@ -25,7 +24,7 @@ test: vet serve-smoke
 # park/resume, a slow reader under the lot subscriber, a hang-up behind
 # data), on the reactor and on the stream source, get ten extra runs.
 race:
-	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/cluster ./internal/chaos
+	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/chaos
 	$(GO) test -race -count 5 -run TestHashMapMixedSyncCrashRecover ./internal/pds
 	$(GO) test -race -count 10 -run 'TestAckSettlesUnderRunningPump|TestThrottleStallReactor|TestSlowReaderDoesNotHoldTheLot|TestHangUpBehindDataClosesConn|TestStreamSourceWindows' ./internal/server
 
@@ -34,7 +33,7 @@ race:
 # the stream source, and that build must not rot unseen.
 vet: lint-dead
 	$(GO) vet ./...
-	GOOS=darwin $(GO) vet ./internal/server ./internal/cluster ./cmd/montage-serve ./cmd/montage-proxy
+	GOOS=darwin $(GO) vet ./internal/server ./cmd/montage-serve
 	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: the files above are not formatted'; exit 1; }
 
 # The nonblocking epoch engine and its lazy-persist layer were deleted,
@@ -58,6 +57,10 @@ vet: lint-dead
 # -drain-workers, the drain_workers histogram) stays deleted.
 # cmd/montage-crash is gone too: montage-chaos -workers 1 -mode
 # drop|partial covers its single-threaded prefix oracle.
+# The cluster layer (proxy, ring, rebalancer, node Kill/Revive, -nodes
+# chaos) is gone because no benchmark workload measured it: internal/pool
+# is the one scale-out path, so neither its directories nor its entry
+# points may come back.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -73,6 +76,8 @@ lint-dead:
 	@! awk '/^func \(d \*Device\) Drain\(/,/^}/' internal/pmem/pmem.go | grep -nE '^[[:space:]]*go[[:space:]]|WaitGroup'
 	@test "$$(awk '/^func \(d \*Device\) Drain\(/,/^}/' internal/pmem/pmem.go | grep -c 'commitBatch(')" = 1
 	@! test -e cmd/montage-crash
+	@! test -e internal/cluster -o -e cmd/montage-proxy -o -e scripts/cluster-smoke.sh
+	@! grep -rnE 'CClu|ClusterStats|NodeRouter|NodeKeyImbalance|runClusterSchedule|setModeLoose|func \(s \*Server\) (Kill|Revive)\b' --include='*.go' .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,
@@ -89,14 +94,6 @@ serve-smoke:
 conns-smoke:
 	sh scripts/conns-smoke.sh
 	$(GO) test -run 'TestAllocs' -bench 'BenchmarkParse|BenchmarkServeGet' -benchtime 100x -benchmem ./internal/server
-
-# End-to-end smoke of the cluster layer: a 3-node montage-serve fleet
-# behind montage-proxy, YCSB bursts through the proxy (with a ring
-# keyspace-balance assertion), a hard kill + in-place restart of one
-# node mid-fleet, and 60 seeded chaos schedules with mid-schedule node
-# kill+revive checked for cluster-wide buffered durable linearizability.
-cluster-smoke:
-	sh scripts/cluster-smoke.sh
 
 # Crash-consistency sweep, all checked for buffered durable
 # linearizability: a main band (shard counts 1/2/4 × drop-all/partial

@@ -45,15 +45,10 @@ func main() {
 		shards    = flag.Int("shards", 0, "pool shard count; 0 cycles through 1/2/4 by seed")
 		mode      = flag.String("mode", "mix", "crash mode: drop, partial, or mix (alternate by seed)")
 		net       = flag.Bool("net", false, "drive schedules through a live TCP server")
-		nodes     = flag.Int("nodes", 1, "with -net: cluster width; >1 proxies schedules over N servers with a mid-schedule node kill+revive")
 		traceN    = flag.Int("trace", 16, "epoch-lifecycle trace events to dump on a violation")
 		quiet     = flag.Bool("q", false, "suppress the per-1000-schedules progress line")
 	)
 	flag.Parse()
-	if *nodes > 1 && !*net {
-		fmt.Fprintln(os.Stderr, "-nodes > 1 requires -net")
-		os.Exit(2)
-	}
 
 	shardMix := []int{1, 2, 4}
 	var (
@@ -71,7 +66,6 @@ func main() {
 			Keys:         *keys,
 			OpsPerWorker: *ops,
 			Net:          *net,
-			Nodes:        *nodes,
 		}
 		if *shards > 0 {
 			cfg.Shards = *shards
@@ -118,7 +112,7 @@ func main() {
 	fmt.Printf("explored %d schedules (%d crashes, %d with a second crash mid-recovery), %d recorded ops\n",
 		*schedules, crashes, midRecovery, totalOps)
 	fmt.Printf("crash triggers:")
-	for _, k := range []string{"fence", "drain", "durable", "ops", "net-ops", "cluster"} {
+	for _, k := range []string{"fence", "drain", "durable", "ops", "net-ops"} {
 		if n := byTrigger[k]; n > 0 {
 			fmt.Printf(" %s=%d", k, n)
 		}
@@ -134,9 +128,6 @@ func main() {
 // triggerClass buckets a schedule's trigger string ("fence@shard2+3",
 // "ops@57+recovery", ...) by its crash point.
 func triggerClass(trigger string) string {
-	if strings.HasPrefix(trigger, "cluster") {
-		return "cluster"
-	}
 	if i := strings.IndexByte(trigger, '@'); i >= 0 {
 		return trigger[:i]
 	}
@@ -155,9 +146,6 @@ func reportViolation(cfg chaos.Config, res chaos.Result, rec *obs.Recorder, trac
 	netFlag := ""
 	if cfg.Net {
 		netFlag = " -net"
-	}
-	if res.Nodes > 1 {
-		netFlag += fmt.Sprintf(" -nodes %d", res.Nodes)
 	}
 	if cfg.Keys > 0 {
 		netFlag += fmt.Sprintf(" -keys %d", cfg.Keys)

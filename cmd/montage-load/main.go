@@ -12,21 +12,14 @@
 // durability-ack mode, preloads its shard of the key space, and then
 // pipelines requests for the timed phase. The exit status is nonzero if
 // no operations were acknowledged, so scripts can assert liveness.
-//
-// Against a montage-proxy, -nodes (the proxy's node list) additionally
-// reports the per-node key distribution from the same consistent-hash
-// ring the proxy routes with, and exits nonzero when any node's keyspace
-// share strays outside the -balance-band (±15% of uniform by default).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
-	"montage/internal/cluster"
 	"montage/internal/obs"
 	"montage/internal/server"
 )
@@ -42,9 +35,6 @@ func main() {
 	pipeline := flag.Int("pipeline", 16, "outstanding requests per connection")
 	seed := flag.Int64("seed", 1, "workload RNG seed")
 	shards := flag.Int("shards", 1, "server's shard count: tallies the per-shard key distribution (routing happens server-side)")
-	nodes := flag.String("nodes", "", "comma-separated cluster node names behind the proxy at -addr: tallies the per-node key distribution and asserts ring balance")
-	vnodes := flag.Int("vnodes", 0, "ring virtual nodes per backend for -nodes (0 = cluster default; must match the proxy)")
-	balanceBand := flag.Float64("balance-band", 0.15, "max keyspace imbalance tolerated with -nodes (0.15 = every node within ±15% of its fair share)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address during the run (empty: disabled)")
 	flag.Parse()
 
@@ -86,14 +76,6 @@ func main() {
 		Shards:    *shards,
 		Recorder:  rec,
 	}
-	if *nodes != "" {
-		// The same ring the proxy builds over these names: the tally shows
-		// where the proxy sends each key, without changing the load.
-		names := strings.Split(*nodes, ",")
-		ring := cluster.NewRing(names, *vnodes)
-		cfg.NodeRouter = ring.Node
-		cfg.NodeCount = len(names)
-	}
 
 	res, err := server.RunLoad(cfg)
 	if err != nil {
@@ -103,11 +85,6 @@ func main() {
 	fmt.Printf("montage-load: mode=%s conns=%d pipeline=%d: %s\n", mode, *conns, *pipeline, res)
 	if res.Ops == 0 {
 		fmt.Fprintln(os.Stderr, "montage-load: no operations were acknowledged")
-		os.Exit(1)
-	}
-	if imb := res.NodeKeyImbalance(); imb > *balanceBand {
-		fmt.Fprintf(os.Stderr, "montage-load: ring imbalance %.1f%% exceeds ±%.0f%% band\n",
-			100*imb, 100**balanceBand)
 		os.Exit(1)
 	}
 }

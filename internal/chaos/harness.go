@@ -41,13 +41,6 @@ type Config struct {
 	// the weaker binding-ack-only checks (per-shard watermarks are not
 	// observable through the wire).
 	Net bool
-	// Nodes, when >1 (net mode only), drives the schedule through a
-	// consistent-hash cluster proxy over that many servers instead of a
-	// single server: the seed additionally draws a victim node that is
-	// killed and revived mid-schedule (not a recorded crash — the
-	// checker's binding acks must survive it), and the final crash kills
-	// and revives every node.
-	Nodes int
 	// ArenaSize is the per-shard arena (default 4 MiB).
 	ArenaSize int
 	// Recorder, when non-nil, receives the schedule's runtime counters
@@ -71,20 +64,15 @@ func (c Config) withDefaults() Config {
 	if c.ArenaSize <= 0 {
 		c.ArenaSize = 1 << 22
 	}
-	if c.Nodes <= 0 {
-		c.Nodes = 1
-	}
 	return c
 }
 
 // Result summarizes one executed schedule.
 type Result struct {
-	Seed   int64
-	Shards int
-	Mode   pmem.CrashMode
-	Net    bool
-	// Nodes is the cluster width (1 for single-server schedules).
-	Nodes   int
+	Seed    int64
+	Shards  int
+	Mode    pmem.CrashMode
+	Net     bool
 	Trigger string
 	// Ops is the number of recorded (completed) operations.
 	Ops      int
@@ -159,8 +147,8 @@ func (p crashPlan) trigger(net bool) string {
 }
 
 // scheduleTimeout is the per-schedule watchdog. A healthy schedule takes
-// milliseconds (a cluster one, a second or two); one still running after
-// this long has stopped making progress.
+// milliseconds; one still running after this long has stopped making
+// progress.
 var scheduleTimeout = 2 * time.Minute
 
 // RunSchedule executes one seeded crash schedule end to end — drive ops,
@@ -172,10 +160,7 @@ var scheduleTimeout = 2 * time.Minute
 func RunSchedule(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	run := runDirectSchedule
-	switch {
-	case cfg.Net && cfg.Nodes > 1:
-		run = runClusterSchedule
-	case cfg.Net:
+	if cfg.Net {
 		run = runNetSchedule
 	}
 	type outcome struct {
@@ -202,7 +187,7 @@ func RunSchedule(cfg Config) (Result, error) {
 		}
 		stacks := make([]byte, 1<<20)
 		b.Write(stacks[:runtime.Stack(stacks, true)])
-		return Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: cfg.Net, Nodes: cfg.Nodes},
+		return Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: cfg.Net},
 			errors.New(b.String())
 	}
 }
@@ -211,7 +196,7 @@ func RunSchedule(cfg Config) (Result, error) {
 // kvstore API, with armed in-device crash points and per-shard watermark
 // checks.
 func runDirectSchedule(cfg Config) (Result, error) {
-	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Nodes: 1}
+	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plan := drawPlan(rng, cfg)
 	res.Trigger = plan.trigger(false)

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"montage/internal/memtext"
 	"montage/internal/pmem"
 	"montage/internal/server"
 )
@@ -27,16 +29,14 @@ func dialNet(addr string) (*netClient, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &netClient{conn: conn, br: bufio.NewReader(conn)}, nil
+	return &netClient{conn: conn, br: memtext.NewReader(conn)}, nil
 }
 
+// line reads one response line, framed as the server frames requests.
 func (c *netClient) line() (string, error) {
 	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	line, err := c.br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
+	line, _, err := memtext.ReadLine(c.br)
+	return string(line), err
 }
 
 // cmd sends one command (the caller includes the trailing \r\n and any
@@ -64,6 +64,8 @@ func (c *netClient) setMode(m AckMode) error {
 	return nil
 }
 
+// get reads key's value. The body is consumed by the VALUE header's
+// byte count, not as a line, so a value of any size stays framed.
 func (c *netClient) get(key string) (string, bool, error) {
 	resp, err := c.cmd("get %s\r\n", key)
 	if err != nil {
@@ -72,17 +74,25 @@ func (c *netClient) get(key string) (string, bool, error) {
 	if resp == "END" {
 		return "", false, nil
 	}
-	if !strings.HasPrefix(resp, "VALUE ") {
+	f := strings.Fields(resp)
+	if len(f) < 4 || f[0] != "VALUE" || f[1] != key {
 		return "", false, fmt.Errorf("get %s: %q", key, resp)
 	}
-	data, err := c.line()
-	if err != nil {
+	n, ok := memtext.ParseUint([]byte(f[3]), 31)
+	if !ok {
+		return "", false, fmt.Errorf("get %s: bad byte count in %q", key, resp)
+	}
+	body := make([]byte, n+2)
+	if _, err := io.ReadFull(c.br, body); err != nil {
 		return "", false, err
+	}
+	if string(body[n:]) != "\r\n" {
+		return "", false, fmt.Errorf("get %s: %d-byte body not followed by CRLF", key, n)
 	}
 	if end, err := c.line(); err != nil || end != "END" {
 		return "", false, fmt.Errorf("get %s: missing END (%q, %v)", key, end, err)
 	}
-	return data, true, nil
+	return string(body[:n]), true, nil
 }
 
 // runNetSchedule drives one schedule through a live TCP server: workers
@@ -92,7 +102,7 @@ func (c *netClient) get(key string) (string, bool, error) {
 // watermarks are not observable through the wire, so the checker runs
 // with nil cutoffs: binding-ack checks only.
 func runNetSchedule(cfg Config) (Result, error) {
-	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: true, Nodes: 1}
+	res := Result{Seed: cfg.Seed, Shards: cfg.Shards, Mode: cfg.Mode, Net: true}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plan := drawPlan(rng, cfg)
 	res.Trigger = plan.trigger(true)

@@ -2,9 +2,10 @@
 // once: line framing (in place over a read buffer, or over a
 // bufio.Reader), the framing limits, an in-place field tokenizer over a
 // borrowed line, integer parsing over byte slices, key validation, the
-// storage-command header, and the responses every endpoint shares. It
-// is used by internal/server (the serving front end) and
-// internal/cluster (the proxy), so both frame a byte stream identically.
+// storage-command header, and the responses every endpoint shares. The
+// server frames requests with it, and the load generator and the chaos
+// harness's wire client frame the server's responses with it, so both
+// ends of the wire agree on where a line ends.
 //
 // Everything here operates on borrowed []byte views into a caller's
 // read buffer. Nothing allocates on the steady-state path: AppendFields

@@ -138,7 +138,7 @@ func TestString(t *testing.T) {
 }
 
 // TestCutLineAndReadLineAgree: the in-place framer (the server) and the
-// buffered one (the proxy) accept and refuse exactly the same lines,
+// buffered one (the wire clients) accept and refuse exactly the same lines,
 // at the MaxLineLen boundary too.
 func TestCutLineAndReadLineAgree(t *testing.T) {
 	cases := []struct {

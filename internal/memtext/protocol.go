@@ -7,10 +7,9 @@ import (
 	"io"
 )
 
-// Framing limits. Every endpoint that parses the protocol — the server,
-// and the proxy in front of it — frames with these: two endpoints that
-// disagree about where a request ends desynchronize every response
-// behind it.
+// Framing limits. The server frames every request with these: a client
+// that disagrees about where a request ends desynchronizes every
+// response behind it.
 const (
 	// MaxLineLen bounds one command line, its LF excluded (a CR before
 	// the LF counts). A longer line cannot be reframed reliably, so it
@@ -76,9 +75,10 @@ func NewReader(r io.Reader) *bufio.Reader {
 	return bufio.NewReaderSize(r, MaxLineLen+1)
 }
 
-// ReadLine reads one line from br (built by NewReader), framed as
-// CutLine frames it, and returns it with the bytes consumed. The line
-// aliases br's buffer until the next read.
+// ReadLine reads one line from br, framed as CutLine frames it, and
+// returns it with the bytes consumed. It frames any line shorter than
+// br's buffer; a reader from NewReader holds every line CutLine
+// accepts. The line aliases br's buffer until the next read.
 func ReadLine(br *bufio.Reader) ([]byte, int, error) {
 	raw, err := br.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) {

@@ -117,18 +117,6 @@ const (
 	CLoadWrites // acknowledged writes
 	CLoadErrors // SERVER_ERROR acks observed by the client
 
-	// Consistent-hash cluster proxy (internal/cluster, cmd/montage-proxy).
-	CCluConns       // proxy client connections accepted
-	CCluConnsClosed // proxy client connections closed
-	CCluOps         // client commands routed by the proxy
-	CCluForwards    // backend requests forwarded (one per node touched)
-	CCluBcasts      // commands fanned out to every node (flush_all/sync/durability)
-	CCluRedials     // backend connections dialed (first dials and crash-recovery redials)
-	CCluNodeErrors  // requests answered "node unavailable" after the redial window
-	CCluProtoErrors // protocol errors on proxy client connections
-	CCluBytesIn     // protocol bytes read from proxy clients
-	CCluBytesOut    // protocol bytes written to proxy clients
-
 	numCounters
 )
 

@@ -64,7 +64,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		{"server", s.Server},
 		{"chaos", s.Chaos},
 		{"load", s.Load},
-		{"cluster", s.Cluster},
 	}
 	for _, g := range groups {
 		rv := reflect.ValueOf(g.v)

@@ -125,23 +125,6 @@ type LoadStats struct {
 	Errors uint64 `json:"errors"`
 }
 
-// ClusterStats are the consistent-hash proxy's counters
-// (internal/cluster). Like LoadStats these are recorded on the proxy —
-// between the clients and the backend fleet — so they complement, not
-// duplicate, each backend's own ServerStats.
-type ClusterStats struct {
-	Conns       uint64 `json:"conns"`
-	ConnsClosed uint64 `json:"conns_closed"`
-	Ops         uint64 `json:"ops"`
-	Forwards    uint64 `json:"forwards"`
-	Bcasts      uint64 `json:"bcasts"`
-	Redials     uint64 `json:"redials"`
-	NodeErrors  uint64 `json:"node_errors"`
-	ProtoErrors uint64 `json:"proto_errors"`
-	BytesIn     uint64 `json:"bytes_in"`
-	BytesOut    uint64 `json:"bytes_out"`
-}
-
 // HistStats summarizes one log-bucketed histogram. The percentile
 // fields are linearly interpolated within their log2 bucket (rounded to
 // the nearest integer), so they carry sub-bucket resolution; Max is the
@@ -223,7 +206,6 @@ type Snapshot struct {
 	Server  ServerStats  `json:"server"`
 	Chaos   ChaosStats   `json:"chaos"`
 	Load    LoadStats    `json:"load"`
-	Cluster ClusterStats `json:"cluster"`
 	Latency LatencyStats `json:"latency"`
 
 	raw *rawStats
@@ -418,18 +400,6 @@ func buildSnapshot(raw *rawStats) Snapshot {
 		Reads:  c[CLoadReads],
 		Writes: c[CLoadWrites],
 		Errors: c[CLoadErrors],
-	}
-	s.Cluster = ClusterStats{
-		Conns:       c[CCluConns],
-		ConnsClosed: c[CCluConnsClosed],
-		Ops:         c[CCluOps],
-		Forwards:    c[CCluForwards],
-		Bcasts:      c[CCluBcasts],
-		Redials:     c[CCluRedials],
-		NodeErrors:  c[CCluNodeErrors],
-		ProtoErrors: c[CCluProtoErrors],
-		BytesIn:     c[CCluBytesIn],
-		BytesOut:    c[CCluBytesOut],
 	}
 	s.Latency = LatencyStats{
 		AdvanceNs:     summarize(&raw.hists[HAdvanceNs]),

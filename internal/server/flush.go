@@ -153,7 +153,7 @@ func (c *conn) closeSoon() {
 // abort tears the connection down immediately: the queue is dropped,
 // unsettled durability waits are counted as aborted and their lot
 // slots cancelled, the source is severed, and it is closed as soon as
-// no pump or flush is touching it. Used for transport errors, Kill, and
+// no pump or flush is touching it. Used for transport errors and
 // Shutdown's forced drain.
 func (c *conn) abort() {
 	c.wmu.Lock()

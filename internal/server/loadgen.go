@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"montage/internal/memtext"
 	"montage/internal/obs"
 	"montage/internal/pool"
 	"montage/internal/ycsb"
@@ -46,15 +47,6 @@ type LoadConfig struct {
 	// the server's shard count for the tally to mean anything; it does
 	// not change the generated load.
 	Shards int
-	// NodeRouter, when non-nil with NodeCount > 1, maps a key to a
-	// cluster node index (cmd/montage-load passes the consistent-hash
-	// ring the proxy builds; Addr then points at the proxy). The result
-	// gains the keyspace's per-node split (ring balance, independent of
-	// workload skew) and the timed phase's per-node op tally. It does not
-	// change the generated load or routing — that happens proxy-side.
-	NodeRouter func(key string) int
-	// NodeCount is the cluster width NodeRouter maps into.
-	NodeCount int
 	// Recorder, when non-nil, receives the client-side counters
 	// (obs.CLoad*) and the per-request latency histogram (obs.HLoadNs).
 	// Sharing the server's recorder puts both halves of a run in one
@@ -151,13 +143,6 @@ type LoadResult struct {
 	// ShardOps[i] counts timed-phase operations whose key routes to pool
 	// shard i (only populated when LoadConfig.Shards > 1).
 	ShardOps []uint64
-	// NodeKeys[i] counts keyspace records the NodeRouter assigns to
-	// cluster node i — the ring's static balance over a uniform keyspace
-	// (only populated when LoadConfig.NodeRouter is set).
-	NodeKeys []uint64
-	// NodeOps[i] counts timed-phase operations routed to cluster node i —
-	// the ring's balance under the actual workload skew.
-	NodeOps []uint64
 }
 
 func (r LoadResult) String() string {
@@ -168,9 +153,6 @@ func (r LoadResult) String() string {
 		s += fmt.Sprintf(" (conn ramp %v)", r.Ramp.Round(time.Millisecond))
 	}
 	if dist := r.ShardDistribution(); dist != "" {
-		s += "\n" + dist
-	}
-	if dist := r.NodeDistribution(); dist != "" {
 		s += "\n" + dist
 	}
 	return s
@@ -204,72 +186,12 @@ func (r LoadResult) ShardDistribution() string {
 	return b.String()
 }
 
-// NodeDistribution renders the per-node tallies ("" when NodeRouter was
-// not set): each node's share of the keyspace and of the timed ops, so
-// ring balance is visible next to the latency numbers.
-func (r LoadResult) NodeDistribution() string {
-	if len(r.NodeKeys) < 2 {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "node distribution (%d nodes):", len(r.NodeKeys))
-	var keyTotal, opTotal uint64
-	for _, n := range r.NodeKeys {
-		keyTotal += n
-	}
-	for _, n := range r.NodeOps {
-		opTotal += n
-	}
-	for i := range r.NodeKeys {
-		fmt.Fprintf(&b, " %d:", i)
-		if keyTotal > 0 {
-			fmt.Fprintf(&b, "%.1f%%keys", 100*float64(r.NodeKeys[i])/float64(keyTotal))
-		}
-		if opTotal > 0 && i < len(r.NodeOps) {
-			fmt.Fprintf(&b, "/%.1f%%ops", 100*float64(r.NodeOps[i])/float64(opTotal))
-		}
-	}
-	fmt.Fprintf(&b, " (keyspace imbalance %+.1f%%)", 100*r.NodeKeyImbalance())
-	return b.String()
-}
-
-// NodeKeyImbalance returns the largest relative deviation of any node's
-// keyspace share from uniform (0.15 = one node 15% over or under its
-// fair share), or 0 when the tally was not collected. The keyspace split
-// is the ring's own balance — workload skew (zipfian keys) rides on top
-// and shows in NodeOps instead.
-func (r LoadResult) NodeKeyImbalance() float64 {
-	if len(r.NodeKeys) < 2 {
-		return 0
-	}
-	var total uint64
-	for _, n := range r.NodeKeys {
-		total += n
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(r.NodeKeys))
-	var worst float64
-	for _, n := range r.NodeKeys {
-		dev := (float64(n) - mean) / mean
-		if dev < 0 {
-			dev = -dev
-		}
-		if dev > worst {
-			worst = dev
-		}
-	}
-	return worst
-}
-
 // connStats is one connection's tally. Latency is not tallied here: it
 // goes straight into the recorder's per-thread HLoadNs histogram, the
 // same log2 pipeline every other runtime latency uses.
 type connStats struct {
 	ops, reads, writes, errors uint64
 	shardOps                   []uint64
-	nodeOps                    []uint64
 }
 
 // reqToken tracks one in-flight pipelined request.
@@ -354,22 +276,6 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				res.ShardOps[s] += n
 			}
 		}
-		if stats[i].nodeOps != nil {
-			if res.NodeOps == nil {
-				res.NodeOps = make([]uint64, len(stats[i].nodeOps))
-			}
-			for s, n := range stats[i].nodeOps {
-				res.NodeOps[s] += n
-			}
-		}
-	}
-	if cfg.NodeRouter != nil && cfg.NodeCount > 1 {
-		// The ring's static balance over the uniform keyspace, workload
-		// skew excluded: every preloaded record, routed once.
-		res.NodeKeys = make([]uint64, cfg.NodeCount)
-		for k := uint64(0); k < cfg.Records; k++ {
-			res.NodeKeys[cfg.NodeRouter(ycsb.Key(k))]++
-		}
 	}
 	if elapsed > 0 {
 		res.OpsPerSec = float64(res.Ops) / elapsed.Seconds()
@@ -421,14 +327,23 @@ func runLoadConn(cfg LoadConfig, id int, rec *obs.Recorder, st *connStats, signa
 	value := strings.Repeat("x", cfg.ValueSize)
 	lenStr := strconv.Itoa(len(value))
 
-	// Preload this connection's shard of the key space with noreply sets
-	// (a version roundtrip is the completion barrier).
+	// Preload this connection's shard of the key space (a version
+	// roundtrip is the completion barrier). Only the first set asks for
+	// a reply: a server that rejects the value (larger than any size
+	// class) says so there, instead of the run measuring an empty store.
+	noreply := ""
 	for k := uint64(id); k < cfg.Records; k += uint64(cfg.Conns) {
-		fmt.Fprintf(bw, "set %s 0 0 %d noreply\r\n%s\r\n", ycsb.Key(k), len(value), value)
+		fmt.Fprintf(bw, "set %s 0 0 %d%s\r\n%s\r\n", ycsb.Key(k), len(value), noreply, value)
+		noreply = " noreply"
 	}
 	fmt.Fprintf(bw, "version\r\n")
 	if err := bw.Flush(); err != nil {
 		return err
+	}
+	if noreply != "" {
+		if line, err := readAck(br); err != nil || line != "STORED" {
+			return fmt.Errorf("preload set: server replied %q %v", line, err)
+		}
 	}
 	if line, err := readAck(br); err != nil || !strings.HasPrefix(line, "VERSION") {
 		return fmt.Errorf("preload barrier: %q %v", line, err)
@@ -446,9 +361,6 @@ func runLoadConn(cfg LoadConfig, id int, rec *obs.Recorder, st *connStats, signa
 	if cfg.Shards > 1 {
 		st.shardOps = make([]uint64, cfg.Shards)
 	}
-	if cfg.NodeRouter != nil && cfg.NodeCount > 1 {
-		st.nodeOps = make([]uint64, cfg.NodeCount)
-	}
 	inflight := make(chan reqToken, cfg.Pipeline)
 	readerDone := make(chan error, 1)
 	go func() { readerDone <- loadReader(br, inflight, rec, tid, st) }()
@@ -465,9 +377,6 @@ send:
 		op := w.Next()
 		if st.shardOps != nil {
 			st.shardOps[pool.ShardForKey(op.Key, cfg.Shards)]++
-		}
-		if st.nodeOps != nil {
-			st.nodeOps[cfg.NodeRouter(op.Key)]++
 		}
 		// Hand-rolled request framing: fmt.Fprintf per request costs enough
 		// that at 1k+ connections on few cores the generator starts
@@ -527,33 +436,41 @@ send:
 // latency and classifying acks. It reads borrowed line slices (valid
 // until the next read) rather than allocating a string per response:
 // the reader runs once per acked op on every connection, and its
-// garbage is pure generator overhead charged against the server.
+// garbage is pure generator overhead charged against the server. A get's
+// body is skipped by the byte count its VALUE header declares, never read
+// as a line, so values larger than the reader's buffer stay framed.
 func loadReader(br *bufio.Reader, inflight <-chan reqToken, rec *obs.Recorder, tid int, st *connStats) error {
 	for tok := range inflight {
 		if tok.kind == ycsb.Read {
 			for {
-				line, err := readAckBytes(br)
+				line, _, err := memtext.ReadLine(br)
 				if err != nil {
 					return err
 				}
 				if string(line) == "END" {
 					break
 				}
-				if bytes.HasPrefix(line, []byte("VALUE ")) {
-					// The data line follows; consume it as a unit.
-					if _, err := readAckBytes(br); err != nil {
-						return err
-					}
-					continue
+				if !bytes.HasPrefix(line, []byte("VALUE ")) {
+					return fmt.Errorf("unexpected get response %q", line)
 				}
-				return fmt.Errorf("unexpected get response %q", line)
+				n, ok := memtext.ParseUint(line[bytes.LastIndexByte(line, ' ')+1:], 31)
+				if !ok {
+					return fmt.Errorf("bad get response header %q", line)
+				}
+				if _, err := br.Discard(int(n)); err != nil {
+					return err
+				}
+				if crlf, err := br.Peek(2); err != nil || string(crlf) != "\r\n" {
+					return fmt.Errorf("%d-byte get body not followed by CRLF (%q, %v)", n, crlf, err)
+				}
+				br.Discard(2)
 			}
 			st.reads++
 			st.ops++
 			rec.Inc(tid, obs.CLoadReads)
 			rec.Inc(tid, obs.CLoadOps)
 		} else {
-			line, err := readAckBytes(br)
+			line, _, err := memtext.ReadLine(br)
 			if err != nil {
 				return err
 			}
@@ -575,24 +492,8 @@ func loadReader(br *bufio.Reader, inflight <-chan reqToken, rec *obs.Recorder, t
 	return nil
 }
 
+// readAck reads one handshake or preload reply line.
 func readAck(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
-// readAckBytes is readAck without the allocation: the returned slice
-// borrows the reader's buffer and is valid only until the next read.
-func readAckBytes(br *bufio.Reader) ([]byte, error) {
-	line, err := br.ReadSlice('\n')
-	if err != nil {
-		return nil, err
-	}
-	line = line[:len(line)-1]
-	if n := len(line); n > 0 && line[n-1] == '\r' {
-		line = line[:n-1]
-	}
-	return line, nil
+	line, _, err := memtext.ReadLine(br)
+	return string(line), err
 }

@@ -239,12 +239,6 @@ type Server struct {
 	execThreads int
 	tids        chan int
 	closed      atomic.Bool
-	// down is set by Kill and cleared by Revive: the whole node is
-	// crash-stopped (no listener, pool crashed but not yet recovered).
-	down atomic.Bool
-	// boundAddr remembers the first successful bind so Revive can reclaim
-	// the exact same address after a Kill.
-	boundAddr string
 
 	// connSlots enforces MaxConns; connSeq spreads connections'
 	// recording tids over the executor range.
@@ -360,7 +354,6 @@ func (s *Server) Listen() (net.Addr, error) {
 		return nil, err
 	}
 	s.ln = ln
-	s.boundAddr = ln.Addr().String()
 	return ln.Addr(), nil
 }
 
@@ -383,9 +376,8 @@ func (s *Server) Serve() error {
 	for {
 		nc, err := s.ln.Accept()
 		if err != nil {
-			if s.closed.Load() || s.down.Load() {
-				// Shutdown or Kill closed the listener deliberately; a
-				// revived node restarts Serve on the new listener.
+			if s.closed.Load() {
+				// Shutdown closed the listener deliberately.
 				return nil
 			}
 			return err
@@ -400,7 +392,7 @@ func (s *Server) Serve() error {
 		c.accepted = true
 		// On the reactor, or — off Linux, or not TCP — the same pump over
 		// a stream source with a reader and a writer goroutine. The source
-		// is set before Kill can see the conn, and its edges start after.
+		// is set before Shutdown can see the conn, and its edges start after.
 		if c.src = s.rawSource(c); c.src == nil {
 			c.src = newStreamSource(c)
 		}
@@ -409,7 +401,7 @@ func (s *Server) Serve() error {
 	}
 }
 
-// startConn tracks an accepted connection for Kill/Shutdown.
+// startConn tracks an accepted connection for Shutdown.
 func (s *Server) startConn(c *conn) {
 	s.connMu.Lock()
 	s.conns[c] = struct{}{}
@@ -469,82 +461,6 @@ func (s *Server) Crash(mode pmem.CrashMode) (survivors int, err error) {
 	s.cur = newMontageRT(p, store, s.rec, s.adminTid)
 	s.rec.Inc(s.adminTid, obs.CNetCrashes)
 	return store.Len(), nil
-}
-
-// Kill crash-stops the whole node, as a cluster chaos schedule (or an
-// operator drill) sees a machine die: the listener closes, every live
-// connection is severed, parked acks are aborted, and the pool's
-// devices fail per mode — with NO in-place recovery, unlike Crash. The
-// node refuses service until Revive. The current Serve call returns
-// nil. Montage backend only.
-func (s *Server) Kill(mode pmem.CrashMode) error {
-	s.mu.RLock()
-	noPool := s.cur.pool == nil
-	s.mu.RUnlock()
-	if noPool {
-		return errors.New("server: kill requires the montage backend")
-	}
-	if !s.down.CompareAndSwap(false, true) {
-		return errors.New("server: node is already down")
-	}
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	// Release parked epoch-wait acks first: their connections are about
-	// to be severed, and a waiter that missed the close could otherwise
-	// outlive the epoch clocks it waits on.
-	s.mu.Lock()
-	close(s.cur.crashCh)
-	s.mu.Unlock()
-	for _, c := range s.liveConns() {
-		c.abort()
-	}
-	s.connWG.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur.pool.Crash(mode)
-	s.rec.Inc(s.adminTid, obs.CNetCrashes)
-	return nil
-}
-
-// Revive recovers a Kill-ed node in place: the pool's recovery sweep
-// rebuilds the store from the crashed devices, and the listener rebinds
-// the exact address the node served before. The caller restarts the
-// accept loop with `go srv.Serve()`.
-func (s *Server) Revive() (net.Addr, error) {
-	if !s.down.Load() {
-		return nil, errors.New("server: revive without a prior kill")
-	}
-	s.mu.Lock()
-	p, chunks, err := s.cur.pool.Recover(s.cfg.maxThreads())
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	store, err := kvstore.RecoverShardedStore(p, s.cfg.Buckets, chunks, s.cfg.Capacity)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.cur = newMontageRT(p, store, s.rec, s.adminTid)
-	s.mu.Unlock()
-	// Rebind the old address. The previous listener is closed, so the
-	// port is free modulo a racing process; retry briefly to ride out
-	// kernel-side teardown.
-	var ln net.Listener
-	for attempt := 0; ; attempt++ {
-		ln, err = net.Listen("tcp", s.boundAddr)
-		if err == nil {
-			break
-		}
-		if attempt >= 50 {
-			return nil, fmt.Errorf("server: revive rebind %s: %w", s.boundAddr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	s.ln = ln
-	s.down.Store(false)
-	return ln.Addr(), nil
 }
 
 // Sync forces all completed operations durable on every shard (admin
