@@ -5,8 +5,15 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# Besides the unit tests: the montagedebug build (its debug assertions
+# in epoch, core and pds) is vetted and tested, and every examples/
+# main runs, each checking its own output and exiting non-zero on a
+# failure.
 test: vet serve-smoke
 	$(GO) test ./...
+	$(GO) vet -tags montagedebug ./...
+	$(GO) test -tags montagedebug ./internal/epoch ./internal/core ./internal/pds
+	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Race-check the concurrency-heavy packages: the simulated device (the
 # write-combining staging pipeline under concurrent writers and a
@@ -61,6 +68,10 @@ vet: lint-dead
 # chaos) is gone because no benchmark workload measured it: internal/pool
 # is the one scale-out path, so neither its directories nor its entry
 # points may come back.
+# The metrics table (internal/obs/table.go) is the one list of names:
+# no hand list of histogram names or gauges beside it, no expvar export
+# (and no /debug/vars mount) that no listener served, and no chaos
+# counter group that montage-chaos never read.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -78,6 +89,7 @@ lint-dead:
 	@! test -e cmd/montage-crash
 	@! test -e internal/cluster -o -e cmd/montage-proxy -o -e scripts/cluster-smoke.sh
 	@! grep -rnE 'CClu|ClusterStats|NodeRouter|NodeKeyImbalance|runClusterSchedule|setModeLoose|func \(s \*Server\) (Kill|Revive)\b' --include='*.go' .
+	@! grep -rnE 'PublishExpvar|UnpublishExpvar|expvarSlot|promHistNames|promGauges|CChaos|ChaosStats|recordSchedule|"/debug/vars"' --include='*.go' .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

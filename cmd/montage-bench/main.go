@@ -98,7 +98,6 @@ func main() {
 	if *statsOut || *statsFile != "" {
 		rec = obs.New(128)
 		sc.Recorder = rec
-		obs.PublishExpvar("montage", rec)
 	}
 	if *statsFile != "" {
 		f, err := os.Create(*statsFile)

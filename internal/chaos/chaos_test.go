@@ -151,32 +151,6 @@ func TestNetSchedule(t *testing.T) {
 	}
 }
 
-// TestScheduleObsCounters checks that schedules report themselves to the
-// obs recorder: schedule/op/crash counts, and the violation counter
-// staying at zero.
-func TestScheduleObsCounters(t *testing.T) {
-	rec := obs.New(8)
-	rec.SetEnabled(true)
-	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := RunSchedule(Config{Seed: seed, Shards: 2, Mode: pmem.CrashDropAll, Recorder: rec}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := rec.Snapshot()
-	if snap.Chaos.Schedules != 3 {
-		t.Fatalf("Schedules = %d, want 3", snap.Chaos.Schedules)
-	}
-	if snap.Chaos.Crashes < 3 {
-		t.Fatalf("Crashes = %d, want >= 3", snap.Chaos.Crashes)
-	}
-	if snap.Chaos.Ops == 0 {
-		t.Fatal("Ops = 0")
-	}
-	if snap.Chaos.Violations != 0 {
-		t.Fatalf("Violations = %d, want 0", snap.Chaos.Violations)
-	}
-}
-
 // Checker unit tests: hand-built histories prove the checker actually
 // detects each violation class (so green sweeps are evidence, not
 // vacuity).

@@ -44,7 +44,7 @@ type Config struct {
 	// ArenaSize is the per-shard arena (default 4 MiB).
 	ArenaSize int
 	// Recorder, when non-nil, receives the schedule's runtime counters
-	// plus the chaos counters (schedules, ops, crashes, violations).
+	// and trace events (a violation report prints the trace tail).
 	Recorder *obs.Recorder
 }
 
@@ -412,25 +412,9 @@ func runDirectSchedule(cfg Config) (Result, error) {
 		Cutoffs:   cutoffs,
 		Recovered: recovered,
 	})
-	recordSchedule(cfg, &res)
 	p2.Close()
 	runtime.KeepAlive(store)
 	return res, nil
-}
-
-// recordSchedule reports a finished schedule to the obs recorder.
-func recordSchedule(cfg Config, res *Result) {
-	rec := cfg.Recorder
-	if rec == nil {
-		return
-	}
-	rec.Inc(0, obs.CChaosSchedules)
-	rec.Add(0, obs.CChaosOps, uint64(res.Ops))
-	rec.Inc(0, obs.CChaosCrashes)
-	if res.MidRecoveryCrash {
-		rec.Inc(0, obs.CChaosCrashes)
-	}
-	rec.Add(0, obs.CChaosViolations, uint64(len(res.Violations)))
 }
 
 // debugChunks is a test-only hook invoked with the recovered pool and its

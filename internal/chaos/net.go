@@ -275,6 +275,5 @@ func runNetSchedule(cfg Config) (Result, error) {
 		Cutoffs:   nil,
 		Recovered: recovered,
 	})
-	recordSchedule(cfg, &res)
 	return res, nil
 }

@@ -28,8 +28,7 @@ import (
 )
 
 // CounterID names one monotonic counter. Counters are grouped by the
-// subsystem that writes them; the Snapshot struct re-exports them as named
-// fields.
+// subsystem that writes them; Snapshot.bind gives each its named field.
 type CounterID int
 
 const (
@@ -103,12 +102,6 @@ const (
 	CNetFlushes      // vectored response flushes (one writev per batch of ready responses)
 	CNetParseAllocs  // parse-path buffer growths (token array / input / response buffer); 0 in steady state
 
-	// Crash-consistency chaos harness (internal/chaos).
-	CChaosSchedules  // seeded crash schedules executed
-	CChaosOps        // operations driven by chaos workers across schedules
-	CChaosCrashes    // crashes injected by chaos schedules
-	CChaosViolations // history-checker violations found
-
 	// Client load generator (internal/server.RunLoad, cmd/montage-load).
 	// These are recorded on the CLIENT side of the wire, so a recorder
 	// shared with the server under test carries both halves of a run.
@@ -126,7 +119,7 @@ type HistID int
 const (
 	HAdvanceNs     HistID = iota // epoch advance latency (wall ns)
 	HWaitAllNs                   // quiescence (waitAll) stall inside an advance (wall ns)
-	HAdvLockWaitNs               // blocking engine: advMu acquisition wait (daemon-vs-sync convoy)
+	HAdvLockWaitNs               // advMu acquisition wait (daemon-vs-sync convoy)
 	HSyncNs                      // Sync latency (wall ns)
 	HFenceBatch                  // staged blocks committed per Fence
 	HDrainBatch                  // staged blocks committed per Drain

@@ -294,20 +294,6 @@ type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
-// TestPublishExpvar checks duplicate names get suffixed instead of
-// panicking.
-func TestPublishExpvar(t *testing.T) {
-	r := New(1)
-	n1 := PublishExpvar("obs-test", r)
-	n2 := PublishExpvar("obs-test", r)
-	if n1 != "obs-test" {
-		t.Fatalf("first publish renamed to %q", n1)
-	}
-	if n2 == n1 {
-		t.Fatalf("second publish reused name %q", n2)
-	}
-}
-
 // TestDerivedGauges checks PersistPending and BytesInUse derivations,
 // including the clamp at zero.
 func TestDerivedGauges(t *testing.T) {

@@ -2,11 +2,8 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
-	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -87,56 +84,4 @@ func (s *Sampler) Stop() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// expvarSlot is one expvar registration's mutable target. expvar has no
-// deletion, so a slot is registered once and the recorder behind it is
-// swapped: UnpublishExpvar detaches (the slot serves an empty snapshot)
-// and the next PublishExpvar of the same name reattaches. That makes
-// open/close/reopen cycles deterministic — the same name comes back
-// instead of an ever-growing numeric suffix — and leak-free.
-type expvarSlot struct {
-	rec atomic.Pointer[Recorder]
-}
-
-var (
-	expvarMu    sync.Mutex
-	expvarSlots = map[string]*expvarSlot{}
-	expvarLive  = map[string]bool{}
-)
-
-// PublishExpvar registers r's snapshot under name in the process-wide
-// expvar registry (so it shows up on /debug/vars when an HTTP server is
-// mounted). expvar panics on duplicate names, so a name that is
-// currently live gets the lowest free numeric suffix ("name-2",
-// "name-3", ...); a name released by UnpublishExpvar is reused as-is.
-// The name actually used is returned.
-func PublishExpvar(name string, r *Recorder) string {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	base := name
-	for i := 2; expvarLive[name]; i++ {
-		name = fmt.Sprintf("%s-%d", base, i)
-	}
-	slot, ok := expvarSlots[name]
-	if !ok {
-		slot = &expvarSlot{}
-		expvarSlots[name] = slot
-		expvar.Publish(name, expvar.Func(func() any { return slot.rec.Load().Snapshot() }))
-	}
-	slot.rec.Store(r)
-	expvarLive[name] = true
-	return name
-}
-
-// UnpublishExpvar releases a name returned by PublishExpvar. The expvar
-// registration itself remains (the package cannot delete), but it serves
-// an empty snapshot until the name is published again.
-func UnpublishExpvar(name string) {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if slot, ok := expvarSlots[name]; ok && expvarLive[name] {
-		slot.rec.Store(nil)
-		delete(expvarLive, name)
-	}
 }

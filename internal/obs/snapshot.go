@@ -30,7 +30,7 @@ type EpochStats struct {
 	PersistBytes    uint64 `json:"persist_bytes"`
 	// PersistPending is derived: payloads queued but not yet written back
 	// (or skipped as dead) anywhere in the system.
-	PersistPending    uint64 `json:"persist_pending"`
+	PersistPending    uint64 `json:"persist_pending" obs:"gauge"`
 	FreeQueued        uint64 `json:"free_queued"`
 	FreeReclaimed     uint64 `json:"free_reclaimed"`
 	MindicatorSkips   uint64 `json:"mindicator_skips"`
@@ -79,8 +79,8 @@ type AllocStats struct {
 	Frees      uint64 `json:"frees"`
 	FreeBytes  uint64 `json:"free_bytes"`
 	// BlocksInUse and BytesInUse are derived (allocs - frees, clamped).
-	BlocksInUse uint64 `json:"blocks_in_use"`
-	BytesInUse  uint64 `json:"bytes_in_use"`
+	BlocksInUse uint64 `json:"blocks_in_use" obs:"gauge"`
+	BytesInUse  uint64 `json:"bytes_in_use" obs:"gauge"`
 	Carves      uint64 `json:"superblocks_carved"`
 }
 
@@ -104,15 +104,6 @@ type ServerStats struct {
 	Crashes      uint64 `json:"crash_injections"`
 	Flushes      uint64 `json:"flushes"`
 	ParseAllocs  uint64 `json:"parse_allocs"`
-}
-
-// ChaosStats are the crash-consistency chaos harness's counters
-// (internal/chaos).
-type ChaosStats struct {
-	Schedules  uint64 `json:"schedules"`
-	Ops        uint64 `json:"ops"`
-	Crashes    uint64 `json:"crashes"`
-	Violations uint64 `json:"violations"`
 }
 
 // LoadStats are the client-side load generator's counters (what the
@@ -194,8 +185,10 @@ type LatencyStats struct {
 }
 
 // Snapshot is a point-in-time aggregate of a Recorder's counters and
-// histograms. It is what Stats(), the expvar export, and the JSON
-// sampler all emit.
+// histograms. It is what Stats(), the JSON sampler and /metrics all
+// emit. Each group field's json tag and each stat field's json tag make
+// up a metric's exported name; bind (table.go) says which counter or
+// histogram fills each stat field.
 type Snapshot struct {
 	UnixNs  int64        `json:"unix_ns"`
 	Enabled bool         `json:"enabled"`
@@ -204,7 +197,6 @@ type Snapshot struct {
 	Runtime RuntimeStats `json:"runtime"`
 	Alloc   AllocStats   `json:"alloc"`
 	Server  ServerStats  `json:"server"`
-	Chaos   ChaosStats   `json:"chaos"`
 	Load    LoadStats    `json:"load"`
 	Latency LatencyStats `json:"latency"`
 
@@ -249,16 +241,7 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		return s
 	}
 	var d rawStats
-	for c := range d.counters {
-		d.counters[c] = sub64(s.raw.counters[c], prev.raw.counters[c])
-	}
-	for h := range d.hists {
-		d.hists[h].count = sub64(s.raw.hists[h].count, prev.raw.hists[h].count)
-		d.hists[h].sum = sub64(s.raw.hists[h].sum, prev.raw.hists[h].sum)
-		for b := 0; b < histBuckets; b++ {
-			d.hists[h].buckets[b] = sub64(s.raw.hists[h].buckets[b], prev.raw.hists[h].buckets[b])
-		}
-	}
+	d.fold(s.raw, prev.raw, sub64)
 	out := buildSnapshot(&d)
 	out.UnixNs = s.UnixNs
 	out.Enabled = s.Enabled
@@ -284,22 +267,31 @@ func Merge(snaps ...Snapshot) Snapshot {
 		if s.raw == nil {
 			continue
 		}
-		for c := range m.counters {
-			m.counters[c] += s.raw.counters[c]
-		}
-		for h := range m.hists {
-			m.hists[h].count += s.raw.hists[h].count
-			m.hists[h].sum += s.raw.hists[h].sum
-			for b := 0; b < histBuckets; b++ {
-				m.hists[h].buckets[b] += s.raw.hists[h].buckets[b]
-			}
-		}
+		m.fold(&m, s.raw, add64)
 	}
 	out := buildSnapshot(&m)
 	out.UnixNs = unix
 	out.Enabled = enabled
 	return out
 }
+
+// fold sets every cell of d (each counter, and each histogram's count,
+// sum and buckets) to f of the matching cells of a and b.
+func (d *rawStats) fold(a, b *rawStats, f func(x, y uint64) uint64) {
+	for c := range d.counters {
+		d.counters[c] = f(a.counters[c], b.counters[c])
+	}
+	for h := range d.hists {
+		dh, ah, bh := &d.hists[h], &a.hists[h], &b.hists[h]
+		dh.count = f(ah.count, bh.count)
+		dh.sum = f(ah.sum, bh.sum)
+		for i := range dh.buckets {
+			dh.buckets[i] = f(ah.buckets[i], bh.buckets[i])
+		}
+	}
+}
+
+func add64(a, b uint64) uint64 { return a + b }
 
 func sub64(a, b uint64) uint64 {
 	if a < b {
@@ -308,115 +300,24 @@ func sub64(a, b uint64) uint64 {
 	return a - b
 }
 
-// buildSnapshot derives the named stats structs from a raw aggregate.
+// buildSnapshot fills every bound field from a raw aggregate, then the
+// obs:"gauge" fields derived from the counters.
 func buildSnapshot(raw *rawStats) Snapshot {
+	s := Snapshot{raw: raw}
+	counters, hists := s.bind()
+	for id, f := range counters {
+		*f = raw.counters[id]
+	}
+	for id, f := range hists {
+		*f = summarize(&raw.hists[id])
+	}
 	c := &raw.counters
-	var s Snapshot
-	s.raw = raw
-	s.Epoch = EpochStats{
-		Advances:        c[CEpochAdvances],
-		Syncs:           c[CEpochSyncs],
-		PersistQueued:   c[CPersistQueued],
-		PersistBoundary: c[CPersistBoundary],
-		PersistOverflow: c[CPersistOverflow],
-		PersistWorker:   c[CPersistWorker],
-		PersistDirect:   c[CPersistDirect],
-		PersistDead:     c[CPersistDead],
-		PersistBytes:    c[CPersistBytes],
-		// A queued payload is resolved by exactly one of: a boundary,
-		// overflow or worker write-back, or being skipped as dead.
-		PersistPending: sub64(c[CPersistQueued],
-			c[CPersistBoundary]+c[CPersistOverflow]+c[CPersistWorker]+c[CPersistDead]),
-		FreeQueued:        c[CFreeQueued],
-		FreeReclaimed:     c[CFreeReclaimed],
-		MindicatorSkips:   c[CMindicatorSkips],
-		MindicatorScans:   c[CMindicatorScans],
-		PendClampNegative: c[CPendClampNegative],
-	}
-	s.Device = DeviceStats{
-		WriteBacks:         c[CWriteBacks],
-		WriteBackBytes:     c[CWriteBackBytes],
-		WriteBackCoalesced: c[CWriteBackCoalesced],
-		Fences:             c[CFences],
-		Drains:             c[CDrains],
-		Reads:              c[CReads],
-		ReadBytes:          c[CReadBytes],
-		Commits:            c[CCommits],
-		CommitBytes:        c[CCommitBytes],
-		Crashes:            c[CCrashes],
-		CrashDiscarded:     c[CCrashDiscarded],
-		CrashDiscBytes:     c[CCrashDiscBytes],
-		CrashKept:          c[CCrashKept],
-		CrashKeptBytes:     c[CCrashKeptBytes],
-	}
-	s.Runtime = RuntimeStats{
-		Ops:                c[COps],
-		OpRetries:          c[COpRetries],
-		Recoveries:         c[CRecoveries],
-		RecoveredBlocks:    c[CRecoveredBlocks],
-		RecoveredSurvivors: c[CRecoveredLive],
-		RecoverySweepNs:    c[CRecoverySweepNs],
-		RecoveryFilterNs:   c[CRecoveryFilterNs],
-		RecoveryInvalNs:    c[CRecoveryInvalNs],
-		RecoveryRebuildNs:  c[CRecoveryBuildNs],
-	}
-	s.Alloc = AllocStats{
-		Allocs:      c[CAllocs],
-		AllocBytes:  c[CAllocBytes],
-		Frees:       c[CFrees],
-		FreeBytes:   c[CFreeBytes],
-		BlocksInUse: sub64(c[CAllocs], c[CFrees]),
-		BytesInUse:  sub64(c[CAllocBytes], c[CFreeBytes]),
-		Carves:      c[CCarves],
-	}
-	s.Server = ServerStats{
-		Conns:        c[CNetConns],
-		ConnsClosed:  c[CNetConnsClosed],
-		OpsGet:       c[CNetOpsGet],
-		OpsSet:       c[CNetOpsSet],
-		OpsDelete:    c[CNetOpsDelete],
-		OpsTouch:     c[CNetOpsTouch],
-		OpsAdmin:     c[CNetOpsAdmin],
-		BytesIn:      c[CNetBytesIn],
-		BytesOut:     c[CNetBytesOut],
-		ProtoErrors:  c[CNetProtoErrors],
-		AcksBuffered: c[CNetAcksBuffered],
-		AcksSync:     c[CNetAcksSync],
-		AcksEpoch:    c[CNetAcksEpoch],
-		AcksAborted:  c[CNetAcksAborted],
-		ParkWaiters:  c[CNetParkWaiters],
-		Crashes:      c[CNetCrashes],
-		Flushes:      c[CNetFlushes],
-		ParseAllocs:  c[CNetParseAllocs],
-	}
-	s.Chaos = ChaosStats{
-		Schedules:  c[CChaosSchedules],
-		Ops:        c[CChaosOps],
-		Crashes:    c[CChaosCrashes],
-		Violations: c[CChaosViolations],
-	}
-	s.Load = LoadStats{
-		Ops:    c[CLoadOps],
-		Reads:  c[CLoadReads],
-		Writes: c[CLoadWrites],
-		Errors: c[CLoadErrors],
-	}
-	s.Latency = LatencyStats{
-		AdvanceNs:     summarize(&raw.hists[HAdvanceNs]),
-		WaitAllNs:     summarize(&raw.hists[HWaitAllNs]),
-		AdvLockWaitNs: summarize(&raw.hists[HAdvLockWaitNs]),
-		SyncNs:        summarize(&raw.hists[HSyncNs]),
-		FenceBatch:    summarize(&raw.hists[HFenceBatch]),
-		DrainBatch:    summarize(&raw.hists[HDrainBatch]),
-		CombineRatio:  summarize(&raw.hists[HCombineRatio]),
-		AckSyncNs:     summarize(&raw.hists[HAckSyncNs]),
-		AckEpochNs:    summarize(&raw.hists[HAckEpochNs]),
-		PipelineDepth: summarize(&raw.hists[HPipelineDepth]),
-		ParkFanout:    summarize(&raw.hists[HParkFanout]),
-		LoadNs:        summarize(&raw.hists[HLoadNs]),
-		FlushBatch:    summarize(&raw.hists[HFlushBatch]),
-		FlushBytes:    summarize(&raw.hists[HFlushBytes]),
-	}
+	// A queued payload is resolved by exactly one of: a boundary,
+	// overflow or worker write-back, or being skipped as dead.
+	s.Epoch.PersistPending = sub64(c[CPersistQueued],
+		c[CPersistBoundary]+c[CPersistOverflow]+c[CPersistWorker]+c[CPersistDead])
+	s.Alloc.BlocksInUse = sub64(c[CAllocs], c[CFrees])
+	s.Alloc.BytesInUse = sub64(c[CAllocBytes], c[CFreeBytes])
 	return s
 }
 
