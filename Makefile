@@ -57,7 +57,7 @@ vet: lint-dead
 # error-line builders.
 # Every structure recovers through pds.rebuild: no copying tag filter
 # and no chunk-to-thread-id rule outside pds.go. The lock-based Stack
-# (LFStack has its operations) is gone, and its tag 7 stays retired.
+# is gone, and its tag 7 stays retired.
 # The epoch-boundary drain commits its batch serially on the advancing
 # goroutine: Drain starts no goroutine and calls commitBatch once, and the
 # drain-parallelism knob (SetDrainWorkers, Config.DrainWorkers,
@@ -72,6 +72,9 @@ vet: lint-dead
 # no hand list of histogram names or gauges beside it, no expvar export
 # (and no /debug/vars mount) that no listener served, and no chaos
 # counter group that montage-chaos never read.
+# SkipListMap, Vector and LFStack are gone (their tags 5, 10 and 11 stay
+# retired), and so are six exported entry points, because no figure,
+# workload, chaos band, example or server path called any of them.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -90,6 +93,8 @@ lint-dead:
 	@! test -e internal/cluster -o -e cmd/montage-proxy -o -e scripts/cluster-smoke.sh
 	@! grep -rnE 'CClu|ClusterStats|NodeRouter|NodeKeyImbalance|runClusterSchedule|setModeLoose|func \(s \*Server\) (Kill|Revive)\b' --include='*.go' .
 	@! grep -rnE 'PublishExpvar|UnpublishExpvar|expvarSlot|promHistNames|promGauges|CChaos|ChaosStats|recordSchedule|"/debug/vars"' --include='*.go' .
+	@! test -e internal/pds/skiplist.go -o -e internal/pds/vector.go -o -e internal/pds/lfstack.go
+	@! grep -rnE 'SkipListMap|NewVector|RecoverVector|LFStack|TagSkipList\b|TagVector|TagLFStack|SavePool|ListenAndServe|SystemFor|MaxBlockSize|PendingFree' --include='*.go' .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

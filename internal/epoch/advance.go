@@ -332,17 +332,3 @@ func (s *Sys) PendingPersist(tid int) int {
 	ts.mindMu.Unlock()
 	return n
 }
-
-// PendingFree returns the number of blocks awaiting reclamation for
-// thread tid.
-func (s *Sys) PendingFree(tid int) int {
-	ts := &s.threads[tid]
-	n := 0
-	for slot := 0; slot < 4; slot++ {
-		fb := &ts.free[slot]
-		fb.mu.Lock()
-		n += len(fb.addrs)
-		fb.mu.Unlock()
-	}
-	return n
-}

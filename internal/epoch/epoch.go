@@ -348,10 +348,6 @@ func (s *Sys) WaitPersisted(e uint64, abort <-chan struct{}) bool {
 	}
 }
 
-// Down returns a channel closed when the system is torn down (Close or
-// Abandon); after it fires the epoch clock never moves again.
-func (s *Sys) Down() <-chan struct{} { return s.down }
-
 // markDown releases every current and future WaitPersisted waiter.
 func (s *Sys) markDown() {
 	s.downOnce.Do(func() { close(s.down) })

@@ -224,89 +224,71 @@ func TestCrashFuzzHashMap(t *testing.T) {
 	}
 }
 
+// fuzzSet is what TestCrashFuzzLFSet drives: the operations the
+// nonblocking keyed structures share.
+type fuzzSet interface {
+	Insert(tid int, key string, val []byte) (bool, error)
+	Remove(tid int, key string) (bool, error)
+	Snapshot(tid int) map[string][]byte
+}
+
 func TestCrashFuzzLFSet(t *testing.T) {
-	for seed := int64(0); seed < fuzzSeeds; seed++ {
-		f := newFuzzEnv(t, seed)
-		s := NewLFSet(f.sys)
-		model := map[string][]byte{}
-		states := []string{mapState(model)}
-		ops := 400 + f.rng.Intn(300)
-		for i := 0; i < ops; i++ {
-			key := fmt.Sprintf("k%02d", f.rng.Intn(40))
-			if f.rng.Intn(2) == 0 {
-				val := []byte(fmt.Sprintf("v%d", i))
-				ins, err := s.Insert(0, key, val)
+	structs := []struct {
+		name    string
+		new     func(sys *core.System) fuzzSet
+		recover func(sys *core.System, chunks [][]*core.PBlk) (fuzzSet, error)
+	}{
+		{"LFSet", func(sys *core.System) fuzzSet { return NewLFSet(sys) },
+			func(sys *core.System, chunks [][]*core.PBlk) (fuzzSet, error) {
+				return RecoverLFSet(sys, chunks)
+			}},
+		{"LFHashMap", func(sys *core.System) fuzzSet { return NewLFHashMap(sys, 8) },
+			func(sys *core.System, chunks [][]*core.PBlk) (fuzzSet, error) {
+				return RecoverLFHashMap(sys, 8, chunks)
+			}},
+	}
+	for _, st := range structs {
+		t.Run(st.name, func(t *testing.T) {
+			for seed := int64(0); seed < fuzzSeeds; seed++ {
+				f := newFuzzEnv(t, seed)
+				s := st.new(f.sys)
+				model := map[string][]byte{}
+				states := []string{mapState(model)}
+				ops := 400 + f.rng.Intn(300)
+				for i := 0; i < ops; i++ {
+					key := fmt.Sprintf("k%02d", f.rng.Intn(40))
+					if f.rng.Intn(2) == 0 {
+						val := []byte(fmt.Sprintf("v%d", i))
+						ins, err := s.Insert(0, key, val)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if ins {
+							model[key] = val
+						}
+					} else {
+						if _, err := s.Remove(0, key); err != nil {
+							t.Fatal(err)
+						}
+						delete(model, key)
+					}
+					states = append(states, mapState(model))
+					f.maybeTick(i)
+				}
+				f.sys.Device().Crash(f.crashMode())
+				sys2, payloads, err := core.Recover(f.sys.Device(), f.cfg, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ins {
-					model[key] = val
-				}
-			} else {
-				if _, err := s.Remove(0, key); err != nil {
+				s2, err := st.recover(sys2, [][]*core.PBlk{payloads})
+				if err != nil {
 					t.Fatal(err)
 				}
-				delete(model, key)
+				if stateInPrefixes(mapState(s2.Snapshot(0)), states) < 0 {
+					t.Fatalf("seed %d: recovered state is not a prefix state", seed)
+				}
 			}
-			states = append(states, mapState(model))
-			f.maybeTick(i)
-		}
-		f.sys.Device().Crash(f.crashMode())
-		sys2, payloads, err := core.Recover(f.sys.Device(), f.cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := RecoverLFSet(sys2, [][]*core.PBlk{payloads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stateInPrefixes(mapState(s2.Snapshot(0)), states) < 0 {
-			t.Fatalf("lfset seed %d: recovered state is not a prefix state", seed)
-		}
-	}
-}
-
-func TestCrashFuzzSkipList(t *testing.T) {
-	for seed := int64(0); seed < fuzzSeeds; seed++ {
-		f := newFuzzEnv(t, seed)
-		m := NewSkipListMap(f.sys)
-		model := map[string][]byte{}
-		states := []string{mapState(model)}
-		ops := 400 + f.rng.Intn(300)
-		for i := 0; i < ops; i++ {
-			key := fmt.Sprintf("k%02d", f.rng.Intn(40))
-			if f.rng.Intn(2) == 0 {
-				val := []byte(fmt.Sprintf("v%d", i))
-				if _, err := m.Put(0, key, val); err != nil {
-					t.Fatal(err)
-				}
-				model[key] = val
-			} else {
-				if _, err := m.Remove(0, key); err != nil {
-					t.Fatal(err)
-				}
-				delete(model, key)
-			}
-			states = append(states, mapState(model))
-			f.maybeTick(i)
-		}
-		f.sys.Device().Crash(f.crashMode())
-		sys2, payloads, err := core.Recover(f.sys.Device(), f.cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m2, err := RecoverSkipListMap(sys2, payloads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := map[string][]byte{}
-		keys, vals := m2.RangeScan(0, "", "")
-		for i, k := range keys {
-			got[k] = vals[i]
-		}
-		if stateInPrefixes(mapState(got), states) < 0 {
-			t.Fatalf("skiplist seed %d: recovered state is not a prefix state", seed)
-		}
+		})
 	}
 }
 

@@ -2,11 +2,10 @@
 // Montage runtime:
 //
 //   - lock-based: the single-lock Queue and lock-per-bucket HashMap of
-//     the paper's evaluation (Sections 6.1–6.2), the skiplist-indexed
-//     ordered SkipListMap, the index-addressed Vector, and the general
-//     Graph of Section 6.3;
+//     the paper's evaluation (Sections 6.1–6.2) and the general Graph of
+//     Section 6.3;
 //   - nonblocking (Section 3.3, on epoch-verified CASes): LFQueue,
-//     LFStack, LFSet, LFHashMap and the ordered LFSkipList.
+//     LFSet, LFHashMap and the ordered LFSkipList.
 //
 // Every structure follows the same recipe: the semantic state (items,
 // key-value pairs, vertices and edges) lives in Montage payloads; the
@@ -14,8 +13,8 @@
 // is rebuilt from the payloads after a crash. Every rebuild goes through
 // one loop, rebuild: keyed structures insert each decoded payload into
 // their index (rebuildKV; a key held by two payloads is
-// ErrCorruptPayload), and ordered ones (the queues, LFStack, Vector) sort
-// the payloads by the sequence label each carries (recoverSeq).
+// ErrCorruptPayload), and the queues sort the payloads by the sequence
+// label each carries (recoverSeq).
 package pds
 
 import (
@@ -42,22 +41,18 @@ const (
 	TagLFQueue uint16 = 3
 	// TagLFSet is the default tag of LFSet payloads.
 	TagLFSet uint16 = 4
-	// TagSkipList is the default tag of SkipListMap payloads.
-	TagSkipList uint16 = 5
 	// TagGraph is the default tag of Graph payloads.
 	TagGraph uint16 = 6
-	// Tag 7 belonged to a lock-based stack that was deleted (LFStack
-	// provides the same operations). It is retired and never reused, so
-	// an old image's stack payloads are never read as another structure's.
-
 	// TagLFHashMap is the default tag of LFHashMap payloads.
 	TagLFHashMap uint16 = 8
 	// TagLFSkipList is the default tag of LFSkipList payloads.
 	TagLFSkipList uint16 = 9
-	// TagVector is the default tag of Vector payloads.
-	TagVector uint16 = 10
-	// TagLFStack is the default tag of LFStack payloads.
-	TagLFStack uint16 = 11
+
+	// Tags 5, 7, 10 and 11 belonged to structures that were deleted
+	// because nothing used them: the lock-based skiplist map (5), the
+	// lock-based stack (7), the vector (10) and the lock-free stack (11).
+	// They are retired and never reused, so an old image's payloads of
+	// those structures are never read as another structure's.
 )
 
 // ErrCorruptPayload reports a recovered payload that does not decode as
@@ -119,15 +114,15 @@ func rebuildKV(sys *core.System, chunks [][]*core.PBlk, tag uint16, insert func(
 	})
 }
 
-// seqRec is one recovered item of an ordered structure: its sequence
-// label (queue position, stack depth or vector index) and its payload.
+// seqRec is one recovered item of a queue: its sequence label (queue
+// position) and its payload.
 type seqRec struct {
 	seq uint64
 	p   *core.PBlk
 }
 
-// recoverSeq is the ordered structures' rebuild: the payloads carrying
-// tag, read as thread id 0 and sorted by their sequence labels.
+// recoverSeq is the queues' rebuild: the payloads carrying tag, read as
+// thread id 0 and sorted by their sequence labels.
 func recoverSeq(sys *core.System, payloads []*core.PBlk, tag uint16) ([]seqRec, error) {
 	var recs []seqRec
 	_, err := rebuild(sys, [][]*core.PBlk{payloads}, tag, func(_, _ int, p *core.PBlk, data []byte) error {

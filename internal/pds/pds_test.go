@@ -636,14 +636,6 @@ func TestRebuildRejectsCorruptPayloads(t *testing.T) {
 			_, err := RecoverLFQueue(sys, slices.Concat(chunks...))
 			return err
 		}},
-		{"LFStack", TagLFStack, encodeSeqVal(1, nil), nil, func(sys *core.System, chunks [][]*core.PBlk) error {
-			_, err := RecoverLFStack(sys, slices.Concat(chunks...))
-			return err
-		}},
-		{"Vector", TagVector, encodeSeqVal(0, nil), nil, func(sys *core.System, chunks [][]*core.PBlk) error {
-			_, err := RecoverVector(sys, slices.Concat(chunks...))
-			return err
-		}},
 		{"HashMap", TagHashMap, encodeKV("k", nil), func(sys *core.System) error {
 			return twice(func() error { _, err := NewHashMap(sys, 16).Put(0, "k", v); return err })
 		}, func(sys *core.System, chunks [][]*core.PBlk) error {
@@ -666,12 +658,6 @@ func TestRebuildRejectsCorruptPayloads(t *testing.T) {
 			return twice(func() error { _, err := NewLFSkipList(sys).Insert(0, "k", v); return err })
 		}, func(sys *core.System, chunks [][]*core.PBlk) error {
 			_, err := RecoverLFSkipList(sys, chunks)
-			return err
-		}},
-		{"SkipListMap", TagSkipList, encodeKV("k", nil), func(sys *core.System) error {
-			return twice(func() error { _, err := NewSkipListMap(sys).Put(0, "k", v); return err })
-		}, func(sys *core.System, chunks [][]*core.PBlk) error {
-			_, err := RecoverSkipListMap(sys, slices.Concat(chunks...))
 			return err
 		}},
 		{"Graph", TagGraph, encodeVertex(1, nil), func(sys *core.System) error {

@@ -104,9 +104,6 @@ func (p *Pool) Shard(i int) *core.System { return p.shards[i] }
 // ShardFor returns the index of the shard owning key.
 func (p *Pool) ShardFor(key string) int { return ShardForKey(key, len(p.shards)) }
 
-// SystemFor returns the system owning key.
-func (p *Pool) SystemFor(key string) *core.System { return p.shards[p.ShardFor(key)] }
-
 // forEach runs fn(i) for every shard, in parallel when there is more
 // than one. Shards are independent, so whole-pool operations (sync,
 // close, recovery) cost one shard's latency, not the sum.

@@ -172,20 +172,6 @@ func (h *Heap) SetRecorder(r *obs.Recorder) { h.stats.Set(r) }
 // Recorder returns the attached observability recorder, or nil.
 func (h *Heap) Recorder() *obs.Recorder { return h.stats.Get() }
 
-// MaxBlockSize returns the data capacity of the largest size class.
-func (h *Heap) MaxBlockSize() int {
-	max := sizeClasses[len(sizeClasses)-1]
-	if max > h.sbSize-sbHeaderSize {
-		// Largest class that fits this superblock size.
-		for i := len(sizeClasses) - 1; i >= 0; i-- {
-			if sizeClasses[i] <= h.sbSize-sbHeaderSize {
-				return sizeClasses[i] - payload.HeaderSize
-			}
-		}
-	}
-	return max - payload.HeaderSize
-}
-
 // Live returns the number of currently allocated blocks.
 func (h *Heap) Live() int64 { return h.allocated.Load() }
 

@@ -421,14 +421,6 @@ func (s *Server) finishConn(c *conn) {
 	s.connWG.Done()
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe() error {
-	if _, err := s.Listen(); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // Crash simulates a power failure and recovers in place while the
 // listener stays up: every staged (pre-durable) write is dropped per
 // mode, parked epoch-wait acks are failed with a SERVER_ERROR, and a
@@ -482,17 +474,6 @@ func (s *Server) SeedCrashRNG(seed int64) {
 	if s.cur.pool != nil {
 		s.cur.pool.SeedCrashRNG(seed)
 	}
-}
-
-// SavePool syncs and writes the pool image to path (a single file for
-// one shard, a manifest directory for several).
-func (s *Server) SavePool(path string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.cur.pool == nil {
-		return errors.New("server: no pool to save (transient backend)")
-	}
-	return s.cur.pool.Save(s.adminTid, path)
 }
 
 // Shutdown drains the server: stop accepting, wait up to drain for

@@ -181,17 +181,6 @@ func RecoverLFSet(sys *System, chunks [][]*PBlk) (*LFSet, error) {
 	return pds.RecoverLFSet(sys, chunks)
 }
 
-// SkipListMap is the ordered Montage mapping.
-type SkipListMap = pds.SkipListMap
-
-// NewSkipListMap creates an empty ordered map.
-func NewSkipListMap(sys *System) *SkipListMap { return pds.NewSkipListMap(sys) }
-
-// RecoverSkipListMap rebuilds an ordered map from recovered payloads.
-func RecoverSkipListMap(sys *System, payloads []*PBlk) (*SkipListMap, error) {
-	return pds.RecoverSkipListMap(sys, payloads)
-}
-
 // LFHashMap is the nonblocking Montage hashmap (buckets of
 // epoch-verified Harris lists).
 type LFHashMap = pds.LFHashMap
@@ -216,29 +205,6 @@ func NewLFSkipList(sys *System) *LFSkipList { return pds.NewLFSkipList(sys) }
 // payload chunks.
 func RecoverLFSkipList(sys *System, chunks [][]*PBlk) (*LFSkipList, error) {
 	return pds.RecoverLFSkipList(sys, chunks)
-}
-
-// LFStack is the nonblocking Montage stack (Treiber stack with
-// epoch-verified CAS).
-type LFStack = pds.LFStack
-
-// NewLFStack creates an empty nonblocking stack.
-func NewLFStack(sys *System) *LFStack { return pds.NewLFStack(sys) }
-
-// RecoverLFStack rebuilds a nonblocking stack from recovered payloads.
-func RecoverLFStack(sys *System, payloads []*PBlk) (*LFStack, error) {
-	return pds.RecoverLFStack(sys, payloads)
-}
-
-// Vector is the Montage persistent growable array.
-type Vector = pds.Vector
-
-// NewVector creates an empty vector.
-func NewVector(sys *System) *Vector { return pds.NewVector(sys) }
-
-// RecoverVector rebuilds a vector from recovered payloads.
-func RecoverVector(sys *System, payloads []*PBlk) (*Vector, error) {
-	return pds.RecoverVector(sys, payloads)
 }
 
 // EncodeFields and DecodeFields build field-structured payload data for

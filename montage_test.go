@@ -52,11 +52,8 @@ func TestPublicAPIAllStructures(t *testing.T) {
 	sys, cfg := newSystem(t, 2)
 	q := montage.NewQueue(sys)
 	lq := montage.NewLFQueue(sys)
-	lst := montage.NewLFStack(sys)
-	vec := montage.NewVector(sys)
 	s := montage.NewLFSet(sys)
 	lm := montage.NewLFHashMap(sys, 32)
-	sk := montage.NewSkipListMap(sys)
 	lsk := montage.NewLFSkipList(sys)
 	g := montage.NewGraph(sys, 16)
 
@@ -67,19 +64,10 @@ func TestPublicAPIAllStructures(t *testing.T) {
 		if err := lq.Enqueue(0, []byte{byte(i + 100)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := lst.Push(0, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := vec.Append(0, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := s.Insert(0, fmt.Sprintf("s%d", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := lm.Insert(0, fmt.Sprintf("m%d", i), []byte("w")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sk.Put(0, fmt.Sprintf("o%d", i), []byte("y")); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := lsk.Insert(0, fmt.Sprintf("z%d", i), []byte("v")); err != nil {
@@ -106,14 +94,6 @@ func TestPublicAPIAllStructures(t *testing.T) {
 	if err != nil || lq2.Len() != 10 {
 		t.Fatalf("lfqueue: %v", err)
 	}
-	lst2, err := montage.RecoverLFStack(sys2, payloads)
-	if err != nil || lst2.Len() != 10 {
-		t.Fatalf("lfstack: %v", err)
-	}
-	vec2, err := montage.RecoverVector(sys2, payloads)
-	if err != nil || vec2.Len() != 10 {
-		t.Fatalf("vector: %v", err)
-	}
 	s2, err := montage.RecoverLFSet(sys2, chunks)
 	if err != nil || s2.Len() != 10 {
 		t.Fatalf("lfset: %v", err)
@@ -121,10 +101,6 @@ func TestPublicAPIAllStructures(t *testing.T) {
 	lm2, err := montage.RecoverLFHashMap(sys2, 32, chunks)
 	if err != nil || lm2.Len() != 10 {
 		t.Fatalf("lfhashmap: %v", err)
-	}
-	sk2, err := montage.RecoverSkipListMap(sys2, payloads)
-	if err != nil || sk2.Len() != 10 {
-		t.Fatalf("skiplist: %v", err)
 	}
 	lsk2, err := montage.RecoverLFSkipList(sys2, chunks)
 	if err != nil || lsk2.Len() != 10 {
