@@ -20,7 +20,7 @@ test: vet serve-smoke
 # crashing daemon), the observability recorder (hammered from every
 # worker), the epoch system, the data structures, the sharded pool
 # (concurrent writers + whole-pool crash/recovery), the core engine, the
-# striped-LRU kvstore, the network front end (shared epoch-wait parking
+# striped kvstore, the network front end (shared epoch-wait parking
 # lot, one pump per connection over the reactor or a stream source), and
 # the chaos harness (workers, advancer and crash racing on one pool). The
 # library-level durability regression fails only intermittently when it
@@ -75,6 +75,11 @@ vet: lint-dead
 # SkipListMap, Vector and LFStack are gone (their tags 5, 10 and 11 stay
 # retired), and so are six exported entry points, because no figure,
 # workload, chaos band, example or server path called any of them.
+# The kvstore's LRU eviction, the -capacity knob that set it, its
+# evictions stat and the montage-kv shell are gone because every figure,
+# workload, chaos band and smoke ran the store unbounded and no test
+# drove the shell; benchmark/ is skipped, since its served-workload
+# guard still reads the stat by name.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -95,6 +100,8 @@ lint-dead:
 	@! grep -rnE 'PublishExpvar|UnpublishExpvar|expvarSlot|promHistNames|promGauges|CChaos|ChaosStats|recordSchedule|"/debug/vars"' --include='*.go' .
 	@! test -e internal/pds/skiplist.go -o -e internal/pds/vector.go -o -e internal/pds/lfstack.go
 	@! grep -rnE 'SkipListMap|NewVector|RecoverVector|LFStack|TagSkipList\b|TagVector|TagLFStack|SavePool|ListenAndServe|SystemFor|MaxBlockSize|PendingFree' --include='*.go' .
+	@! test -e cmd/montage-kv
+	@! grep -rnE 'lruSeg|evictOne|Evictions|cfg\.Capacity|"capacity"|"evictions"' --include='*.go' --exclude-dir=benchmark .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

@@ -68,7 +68,6 @@ func main() {
 	shards := flag.Int("shards", 1, "independent epoch-domain shards (an existing -pool image's count wins)")
 	arena := flag.Int("arena", 64<<20, "persistent arena size in bytes (per shard)")
 	buckets := flag.Int("buckets", 4096, "index bucket count")
-	capacity := flag.Int("capacity", 0, "max item count with LRU eviction (0: unbounded)")
 	maxConns := flag.Int("max-conns", 64, "max concurrent connections")
 	epochLen := flag.Duration("epoch", 10*time.Millisecond, "epoch advance period (shorter: faster epoch-wait acks)")
 	persistDelay := flag.Duration("persist-delay", 0, "emulated device persist latency per epoch advance (0: simulated device is free)")
@@ -118,7 +117,6 @@ func main() {
 		Shards:       *shards,
 		ArenaSize:    *arena,
 		Buckets:      *buckets,
-		Capacity:     *capacity,
 		MaxConns:     *maxConns,
 		EpochLength:  *epochLen,
 		PersistDelay: *persistDelay,
@@ -143,8 +141,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("montage-serve: listening on %s (backend=%s shards=%d durability=%s epoch=%v)\n",
-		bound, *backend, srv.NumShards(), mode, *epochLen)
+	fmt.Printf("montage-serve: listening on %s (backend=%s shards=%d items=%d durability=%s epoch=%v)\n",
+		bound, *backend, srv.NumShards(), srv.Store().Len(), mode, *epochLen)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

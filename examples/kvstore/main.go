@@ -89,7 +89,7 @@ ran:
 	if err != nil {
 		log.Fatal(err)
 	}
-	store2, err := kvstore.RecoverMontageStore(sys2, buckets, chunks, 0)
+	store2, err := kvstore.RecoverMontageStore(sys2, buckets, chunks)
 	if err != nil {
 		log.Fatal(err)
 	}

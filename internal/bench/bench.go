@@ -223,21 +223,37 @@ func PrintResults(w io.Writer, results []Result) {
 		if unit == "" {
 			unit = "Mops/s"
 		}
+		// Format every cell first: each series column is as wide as the
+		// longer of its name and its widest value, plus one space, so no
+		// two header names run together.
+		xw := len("x")
+		widths := make([]int, len(seriesNames))
+		for i, s := range seriesNames {
+			widths[i] = len(s)
+		}
+		rows := make([][]string, len(xOrder))
+		for r, x := range xOrder {
+			xw = max(xw, len(xs[x]))
+			rows[r] = make([]string, len(seriesNames))
+			for i, s := range seriesNames {
+				c := "-"
+				if v, ok := cell[fmt.Sprintf("%s|%g", s, x)]; ok {
+					c = fmt.Sprintf("%.3f", v)
+				}
+				rows[r][i] = c
+				widths[i] = max(widths[i], len(c))
+			}
+		}
 		fmt.Fprintf(w, "== %s (%s, virtual time) ==\n", fig, unit)
-		fmt.Fprintf(w, "%-18s", "x")
-		for _, s := range seriesNames {
-			fmt.Fprintf(w, "%14s", s)
+		fmt.Fprintf(w, "%-*s", xw, "x")
+		for i, s := range seriesNames {
+			fmt.Fprintf(w, "%*s", widths[i]+1, s)
 		}
 		fmt.Fprintln(w)
-		for _, x := range xOrder {
-			fmt.Fprintf(w, "%-18s", xs[x])
-			for _, s := range seriesNames {
-				v, ok := cell[fmt.Sprintf("%s|%g", s, x)]
-				if !ok {
-					fmt.Fprintf(w, "%14s", "-")
-				} else {
-					fmt.Fprintf(w, "%14.3f", v)
-				}
+		for r, x := range xOrder {
+			fmt.Fprintf(w, "%-*s", xw, xs[x])
+			for i, c := range rows[r] {
+				fmt.Fprintf(w, "%*s", widths[i]+1, c)
 			}
 			fmt.Fprintln(w)
 		}

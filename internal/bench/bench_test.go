@@ -197,10 +197,15 @@ func TestRecoveryHashmapSweep(t *testing.T) {
 	}
 }
 
+// TestPrintResults checks the table layout. The 20-character series
+// name is wider than any value: it must still get its own column, so
+// the header splits into "x" followed by every series name.
 func TestPrintResults(t *testing.T) {
+	wide := "Buf64+DirFree+Worker"
 	rs := []Result{
 		{Figure: "figX", Series: "A", Label: "threads=1", X: 1, Mops: 1.5},
-		{Figure: "figX", Series: "B", Label: "threads=1", X: 1, Mops: 0.5},
+		{Figure: "figX", Series: wide, Label: "threads=1", X: 1, Mops: 0.5},
+		{Figure: "figX", Series: "B", Label: "threads=1", X: 1, Mops: 0.25},
 		{Figure: "figX", Series: "A", Label: "threads=2", X: 2, Mops: 3},
 	}
 	var buf bytes.Buffer
@@ -211,6 +216,10 @@ func TestPrintResults(t *testing.T) {
 	}
 	if !strings.Contains(out, "-") {
 		t.Fatalf("missing-cell marker absent:\n%s", out)
+	}
+	header := strings.Fields(strings.Split(out, "\n")[1])
+	if want := []string{"x", "A", wide, "B"}; strings.Join(header, "|") != strings.Join(want, "|") {
+		t.Fatalf("header fields = %q, want %q\n%s", header, want, out)
 	}
 }
 

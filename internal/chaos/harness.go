@@ -391,7 +391,7 @@ func runDirectSchedule(cfg Config) (Result, error) {
 	if debugChunks != nil {
 		debugChunks(p2, chunks)
 	}
-	store2, err := kvstore.RecoverShardedStore(p2, 64, chunks, 0)
+	store2, err := kvstore.RecoverShardedStore(p2, 64, chunks)
 	if err != nil {
 		return res, err
 	}

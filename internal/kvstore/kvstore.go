@@ -18,10 +18,8 @@
 package kvstore
 
 import (
-	"container/list"
 	"encoding/binary"
 	"hash/maphash"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -154,7 +152,6 @@ type Stats struct {
 	Touches     atomic.Uint64
 	CASHits     atomic.Uint64 // cas with a matching token
 	CASMisses   atomic.Uint64 // cas whose token no longer matched
-	Evictions   atomic.Uint64
 	Expirations atomic.Uint64
 }
 
@@ -240,22 +237,13 @@ const (
 
 // nStripes is the size of the key-striped lock table that makes
 // read-modify-write operations (Add/Replace/CompareAndSwap/Touch)
-// atomic with respect to every other mutation of the same key. The LRU
-// state is segmented on the same stripes, so a hit never contends with
-// hits on other stripes.
+// atomic with respect to every other mutation of the same key. A get
+// takes its stripe only to reap an expired item; a hit takes none.
 const nStripes = 256
 
-// lruSeg is one stripe's share of the eviction state. Segmenting the
-// LRU removes the single global list lock that would otherwise
-// re-serialize every hit and insert across all stripes (and, in a
-// sharded pool, across all shards).
-type lruSeg struct {
-	mu    sync.Mutex
-	lru   *list.List               // front = most recent
-	items map[string]*list.Element // key -> LRU node
-}
-
-// Store is the memcached-like cache.
+// Store is the memcached-like cache. It is unbounded: items leave only
+// by delete, flush_all or expiry, as in the paper's memcached runs,
+// which have no memory pressure.
 type Store struct {
 	backend Backend
 	stats   Stats
@@ -271,40 +259,26 @@ type Store struct {
 	// matching stripe lock): backends copy the encoded bytes out before
 	// returning, so the steady-state write path never allocates here.
 	encBufs [nStripes][]byte
-
-	// capacity > 0 bounds the total item count with segmented LRU
-	// eviction, as memcached does when memory fills: the bound is
-	// global (tracked by count), but recency is per segment, and the
-	// victim comes from the inserted key's own segment — approximate
-	// LRU, exact capacity. capacity == 0 disables eviction (the
-	// benchmark configuration: 1M records, no pressure).
-	capacity int
-	count    atomic.Int64
-	segs     []lruSeg
 }
 
-// New creates a store over backend. capacity 0 means unbounded.
+// New creates a store over backend. capacity must be 0: eviction was
+// removed, and New panics on any other value so that no caller can
+// believe it still bounds the store.
 func New(backend Backend, capacity int) *Store {
-	s := &Store{
-		backend:  backend,
-		capacity: capacity,
-		now:      func() int64 { return time.Now().UnixNano() },
-		seed:     maphash.MakeSeed(),
+	if capacity != 0 {
+		panic("kvstore: capacity must be 0; eviction was removed")
 	}
-	if capacity > 0 {
-		s.segs = make([]lruSeg, nStripes)
-		for i := range s.segs {
-			s.segs[i].lru = list.New()
-			s.segs[i].items = make(map[string]*list.Element)
-		}
+	return &Store{
+		backend: backend,
+		now:     func() int64 { return time.Now().UnixNano() },
+		seed:    maphash.MakeSeed(),
 	}
-	return s
 }
 
 // Stats returns the activity counters.
 func (s *Store) Stats() *Stats { return &s.stats }
 
-// stripeIdx maps a key to its stripe (and LRU segment) index.
+// stripeIdx maps a key to its stripe index.
 func (s *Store) stripeIdx(key string) int {
 	return int(maphash.String(s.seed, key) % nStripes)
 }
@@ -356,7 +330,6 @@ func (s *Store) GetView(tid int, key string, v ValueViewer) bool {
 	viewStatePool.Put(st)
 	if hit {
 		s.stats.Hits.Add(1)
-		s.touch(key)
 		return true
 	}
 	if present && expired {
@@ -384,7 +357,6 @@ func (s *Store) GetWithCAS(tid int, key string) ([]byte, uint64, bool) {
 		expiry, cas, v, okd := decodeItem(data)
 		if okd && (expiry == 0 || expiry > s.now()) {
 			s.stats.Hits.Add(1)
-			s.touch(key)
 			return v, cas, true
 		}
 		if okd {
@@ -427,33 +399,6 @@ func (s *Store) expiryFor(ttl time.Duration) int64 {
 	}
 }
 
-// evictOne removes the least recently used key of segment idx (falling
-// back to subsequent segments when idx has nothing evictable) and
-// returns it, or "" when nothing could be evicted. justInserted is
-// never chosen while it is a segment's only entry — evicting the item
-// that triggered the eviction would make inserts into an empty cache
-// no-ops.
-func (s *Store) evictOne(idx int, justInserted string) string {
-	for off := 0; off < nStripes; off++ {
-		seg := &s.segs[(idx+off)%nStripes]
-		seg.mu.Lock()
-		el := seg.lru.Back()
-		if el != nil && el.Value.(string) == justInserted {
-			el = el.Prev() // next-oldest, if any
-		}
-		if el != nil {
-			victim := el.Value.(string)
-			seg.lru.Remove(el)
-			delete(seg.items, victim)
-			s.count.Add(-1)
-			seg.mu.Unlock()
-			return victim
-		}
-		seg.mu.Unlock()
-	}
-	return ""
-}
-
 // encodeInto encodes an item into stripe idx's scratch buffer. The
 // caller holds the stripe lock; every backend copies the bytes out
 // before returning, so the buffer is free for reuse immediately.
@@ -471,51 +416,17 @@ func (s *Store) encodeInto(idx int, expiry int64, cas uint64, val []byte) []byte
 	return buf
 }
 
-// put stores the item and maintains the LRU. Callers hold the stripe.
+// put stores the item under a fresh CAS token. Callers hold the stripe.
 func (s *Store) put(tid int, key string, expiry int64, val []byte) (DurabilityTag, error) {
-	idx := s.stripeIdx(key)
-	tag, err := s.backend.Put(tid, key, s.encodeInto(idx, expiry, s.casSeq.Add(1), val))
+	tag, err := s.backend.Put(tid, key, s.encodeInto(s.stripeIdx(key), expiry, s.casSeq.Add(1), val))
 	if err != nil {
 		return DurabilityTag{}, err
 	}
 	s.stats.Sets.Add(1)
-	if s.capacity > 0 {
-		seg := &s.segs[idx]
-		seg.mu.Lock()
-		if el, ok := seg.items[key]; ok {
-			seg.lru.MoveToFront(el)
-		} else {
-			// Clone: the LRU retains the key, and the serving path passes
-			// strings borrowing a reused parse buffer.
-			ck := strings.Clone(key)
-			seg.items[ck] = seg.lru.PushFront(ck)
-			s.count.Add(1)
-		}
-		seg.mu.Unlock()
-		if int(s.count.Load()) > s.capacity {
-			if victim := s.evictOne(idx, key); victim != "" {
-				_, vtag, err := s.backend.Delete(tid, victim)
-				if err != nil {
-					return tag, err
-				}
-				// Fold the eviction into the caller's durability tag only
-				// when both land on the same shard; epochs from different
-				// shards are not comparable. A cross-shard eviction's
-				// durability is best-effort (it rides that shard's own
-				// epoch clock), which matches what eviction promises:
-				// nothing — evicted data is gone either way.
-				if vtag.Shard == tag.Shard && vtag.Epoch > tag.Epoch {
-					tag.Epoch = vtag.Epoch
-				}
-				s.stats.Evictions.Add(1)
-			}
-		}
-	}
 	return tag, nil
 }
 
-// Set stores key=val with no expiry, evicting a least-recently-used
-// item if the capacity bound is hit.
+// Set stores key=val with no expiry.
 func (s *Store) Set(tid int, key string, val []byte) error {
 	_, err := s.SetTag(tid, key, val, 0)
 	return err
@@ -619,16 +530,6 @@ func (s *Store) DeleteTag(tid int, key string) (bool, DurabilityTag, error) {
 	if ok {
 		s.stats.Deletes.Add(1)
 	}
-	if s.capacity > 0 {
-		seg := &s.segs[s.stripeIdx(key)]
-		seg.mu.Lock()
-		if el, present := seg.items[key]; present {
-			seg.lru.Remove(el)
-			delete(seg.items, key)
-			s.count.Add(-1)
-		}
-		seg.mu.Unlock()
-	}
 	return ok, tag, nil
 }
 
@@ -665,18 +566,6 @@ func flushTags(newest map[int]uint64) []DurabilityTag {
 	return tags
 }
 
-func (s *Store) touch(key string) {
-	if s.capacity == 0 {
-		return
-	}
-	seg := &s.segs[s.stripeIdx(key)]
-	seg.mu.Lock()
-	if el, ok := seg.items[key]; ok {
-		seg.lru.MoveToFront(el)
-	}
-	seg.mu.Unlock()
-}
-
 // Keys lists the store's keys (admin/debug use; not linearizable).
 func (s *Store) Keys(tid int) []string { return s.backend.Keys(tid) }
 
@@ -701,13 +590,13 @@ func (s *Store) restoreCASSeq(maps ...*pds.HashMap) {
 // RecoverMontageStore rebuilds a single-system Montage-backed store
 // after a crash. CAS tokens persist with the items, so the token
 // sequence resumes above the largest survivor.
-func RecoverMontageStore(sys *core.System, nBuckets int, chunks [][]*core.PBlk, capacity int) (*Store, error) {
+func RecoverMontageStore(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*Store, error) {
 	start := time.Now()
 	m, err := pds.RecoverHashMap(sys, nBuckets, chunks)
 	if err != nil {
 		return nil, err
 	}
-	s := New(NewMontageBackend(m), capacity)
+	s := New(NewMontageBackend(m), 0)
 	s.restoreCASSeq(m)
 	sys.Recorder().Add(0, obs.CRecoveryBuildNs, uint64(time.Since(start).Nanoseconds()))
 	return s, nil

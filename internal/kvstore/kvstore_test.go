@@ -12,18 +12,18 @@ import (
 	"montage/internal/pmem"
 )
 
-func newMontageStore(t *testing.T, capacity int) (*Store, *core.System) {
+func newMontageStore(t *testing.T) (*Store, *core.System) {
 	t.Helper()
 	sys, err := core.NewSystem(core.Config{ArenaSize: 1 << 24, MaxThreads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := pds.NewHashMap(sys, 256)
-	return New(NewMontageBackend(m), capacity), sys
+	return New(NewMontageBackend(m), 0), sys
 }
 
 func TestStoreGetSetDelete(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	if _, ok := s.Get(0, "k"); ok {
 		t.Fatal("get on empty store")
 	}
@@ -52,73 +52,16 @@ func TestStoreGetSetDelete(t *testing.T) {
 	}
 }
 
-// sameSegmentKeys generates n keys that hash to one LRU segment, so the
-// test sees deterministic LRU order despite the segmented eviction
-// state (recency is tracked per segment, and the victim comes from the
-// inserted key's own segment).
-func sameSegmentKeys(t *testing.T, s *Store, n int) []string {
-	t.Helper()
-	byIdx := make(map[int][]string)
-	for i := 0; i < 100000; i++ {
-		k := fmt.Sprintf("k%d", i)
-		idx := s.stripeIdx(k)
-		byIdx[idx] = append(byIdx[idx], k)
-		if len(byIdx[idx]) == n {
-			return byIdx[idx]
+// TestNewRejectsCapacity checks that New refuses a nonzero capacity:
+// the store has no eviction, so a caller asking for a bound must fail
+// loudly rather than get an unbounded store.
+func TestNewRejectsCapacity(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New(backend, 8) did not panic")
 		}
-	}
-	t.Fatal("could not find colliding keys")
-	return nil
-}
-
-func TestStoreLRUEviction(t *testing.T) {
-	s, _ := newMontageStore(t, 3)
-	k := sameSegmentKeys(t, s, 4)
-	for i := 0; i < 3; i++ {
-		s.Set(0, k[i], []byte("v"))
-	}
-	s.Get(0, k[0]) // k[0] becomes most recent; k[1] is the segment's LRU
-	s.Set(0, k[3], []byte("v"))
-	if _, ok := s.Get(0, k[1]); ok {
-		t.Fatalf("LRU victim %s not evicted", k[1])
-	}
-	for _, key := range []string{k[0], k[2], k[3]} {
-		if _, ok := s.Get(0, key); !ok {
-			t.Fatalf("%s wrongly evicted", key)
-		}
-	}
-	if s.Stats().Evictions.Load() != 1 {
-		t.Fatalf("evictions = %d", s.Stats().Evictions.Load())
-	}
-}
-
-// TestStoreLRUGlobalBound checks the capacity bound holds across
-// segments: recency is approximate under segmentation, but the total
-// resident count is exact no matter which segments the keys hash to.
-func TestStoreLRUGlobalBound(t *testing.T) {
-	const capacity, inserts = 8, 32
-	s, _ := newMontageStore(t, capacity)
-	for i := 0; i < inserts; i++ {
-		if err := s.Set(0, fmt.Sprintf("key-%d", i), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(s.Keys(0)); got != capacity {
-		t.Fatalf("resident keys = %d, want %d", got, capacity)
-	}
-	if got := s.count.Load(); got != capacity {
-		t.Fatalf("LRU count = %d, want %d", got, capacity)
-	}
-	if got := s.Stats().Evictions.Load(); got != inserts-capacity {
-		t.Fatalf("evictions = %d, want %d", got, inserts-capacity)
-	}
-	// Re-setting a resident key must not evict.
-	if err := s.Set(0, s.Keys(0)[0], []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Keys(0)); got != capacity {
-		t.Fatalf("resident keys after update = %d, want %d", got, capacity)
-	}
+	}()
+	New(NewMontageBackend(nil), 8)
 }
 
 func TestStoreTransientBackend(t *testing.T) {
@@ -136,7 +79,7 @@ func TestStoreTransientBackend(t *testing.T) {
 }
 
 func TestStoreCrashRecovery(t *testing.T) {
-	s, sys := newMontageStore(t, 0)
+	s, sys := newMontageStore(t)
 	for i := 0; i < 20; i++ {
 		if err := s.Set(0, fmt.Sprintf("key%d", i), []byte(fmt.Sprintf("val%d", i))); err != nil {
 			t.Fatal(err)
@@ -150,7 +93,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RecoverMontageStore(sys2, 256, chunks, 0)
+	s2, err := RecoverMontageStore(sys2, 256, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +109,7 @@ func TestStoreCrashRecovery(t *testing.T) {
 }
 
 func TestStoreTTL(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	now := int64(1_000_000)
 	s.now = func() int64 { return now }
 	if err := s.SetTTL(0, "ephemeral", []byte("v"), 100); err != nil {
@@ -195,7 +138,7 @@ func TestStoreTTL(t *testing.T) {
 }
 
 func TestStoreTTLSurvivesCrash(t *testing.T) {
-	s, sys := newMontageStore(t, 0)
+	s, sys := newMontageStore(t)
 	base := int64(5_000_000)
 	s.now = func() int64 { return base }
 	if err := s.SetTTL(0, "k", []byte("v"), 1000); err != nil {
@@ -207,7 +150,7 @@ func TestStoreTTLSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RecoverMontageStore(sys2, 256, chunks, 0)
+	s2, err := RecoverMontageStore(sys2, 256, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +165,7 @@ func TestStoreTTLSurvivesCrash(t *testing.T) {
 }
 
 func TestStoreKeys(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	for i := 0; i < 5; i++ {
 		s.Set(0, fmt.Sprintf("k%d", i), []byte("v"))
 	}
@@ -247,7 +190,7 @@ func TestStoreKeys(t *testing.T) {
 // possible clock reading, where a tiny positive TTL (now()+1ns) would
 // stay in the future forever when now() never advances.
 func TestStoreNegativeTTLFrozenClock(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	now := int64(1_000_000)
 	s.now = func() int64 { return now } // frozen: never advances
 	if err := s.SetTTL(0, "doomed", []byte("v"), -time.Second); err != nil {
@@ -282,7 +225,7 @@ func TestStoreNegativeTTLFrozenClock(t *testing.T) {
 // scratch and the replaced value is never materialised. Three leaves
 // room for the amortised growth of the epoch's containers.
 func TestAllocsPerSetMontage(t *testing.T) {
-	s, sys := newMontageStore(t, 0)
+	s, sys := newMontageStore(t)
 	const runs = 200
 	keys := make([]string, runs+1) // AllocsPerRun adds a warm-up call
 	val := bytes.Repeat([]byte{'v'}, 104)

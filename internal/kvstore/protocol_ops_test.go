@@ -9,7 +9,7 @@ import (
 )
 
 func TestStoreAddReplace(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 
 	if stored, tag, err := s.Add(0, "k", []byte("v1"), 0); err != nil || !stored || tag.IsZero() {
 		t.Fatalf("Add(absent) = %v tag=%v err=%v", stored, tag, err)
@@ -33,7 +33,7 @@ func TestStoreAddReplace(t *testing.T) {
 }
 
 func TestStoreCompareAndSwap(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	s.Set(0, "k", []byte("v1"))
 
 	_, cas, ok := s.GetWithCAS(0, "k")
@@ -60,7 +60,7 @@ func TestStoreCompareAndSwap(t *testing.T) {
 }
 
 func TestStoreTouch(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	var now int64
 	s.now = func() int64 { return now }
 
@@ -85,7 +85,7 @@ func TestStoreTouch(t *testing.T) {
 }
 
 func TestStoreEpochTags(t *testing.T) {
-	s, sys := newMontageStore(t, 0)
+	s, sys := newMontageStore(t)
 	tag, err := s.SetTag(0, "k", []byte("v"), 0)
 	if err != nil || tag.IsZero() {
 		t.Fatalf("SetTag = %v err=%v", tag, err)
@@ -128,7 +128,7 @@ func TestStoreTransientTagsZero(t *testing.T) {
 }
 
 func TestStoreFlush(t *testing.T) {
-	s, _ := newMontageStore(t, 0)
+	s, _ := newMontageStore(t)
 	for _, k := range []string{"a", "b", "c"} {
 		s.Set(0, k, []byte("v"))
 	}
@@ -145,7 +145,7 @@ func TestStoreFlush(t *testing.T) {
 // recovered store resumes its token sequence above every survivor, so a
 // stale pre-crash token cannot accidentally match a post-crash item.
 func TestCASTokenSurvivesCrash(t *testing.T) {
-	s, sys := newMontageStore(t, 0)
+	s, sys := newMontageStore(t)
 	s.Set(0, "k", []byte("v1"))
 	_, cas, _ := s.GetWithCAS(0, "k")
 	sys.Sync(0)
@@ -155,7 +155,7 @@ func TestCASTokenSurvivesCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := RecoverMontageStore(sys2, 256, chunks, 0)
+	s2, err := RecoverMontageStore(sys2, 256, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func recoverStore(tb testing.TB, p *pool.Pool) (*pool.Pool, *Store) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	s, err := RecoverShardedStore(p2, recoverBuckets, chunks, 0)
+	s, err := RecoverShardedStore(p2, recoverBuckets, chunks)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRecoverRestoresCASAndCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := RecoverShardedStore(p2, 16, chunks, 0)
+		s2, err := RecoverShardedStore(p2, 16, chunks)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func (b *ShardedBackend) Len() int {
 // CAS-token sequence resumes above the largest survivor across all
 // shards. The rebuild's wall time goes to shard 0's recorder as
 // recovery_rebuild_ns, next to the three phases core.Recover records.
-func RecoverShardedStore(p *pool.Pool, nBuckets int, chunks [][][]*core.PBlk, capacity int) (*Store, error) {
+func RecoverShardedStore(p *pool.Pool, nBuckets int, chunks [][][]*core.PBlk) (*Store, error) {
 	start := time.Now()
 	if len(chunks) != p.NumShards() {
 		return nil, fmt.Errorf("kvstore: recover: %d survivor chunk sets for %d shards", len(chunks), p.NumShards())
@@ -90,7 +90,7 @@ func RecoverShardedStore(p *pool.Pool, nBuckets int, chunks [][][]*core.PBlk, ca
 		}
 		b.maps[i] = m
 	}
-	s := New(b, capacity)
+	s := New(b, 0)
 	s.restoreCASSeq(b.maps...)
 	p.Shard(0).Recorder().Add(0, obs.CRecoveryBuildNs, uint64(time.Since(start).Nanoseconds()))
 	return s, nil

@@ -132,7 +132,7 @@ func runCrashMatrix(t *testing.T, shards int, mode pmem.CrashMode, seed int64) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	store2, err := kvstore.RecoverShardedStore(p2, 128, chunks, 0)
+	store2, err := kvstore.RecoverShardedStore(p2, 128, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestPoolRoundTripMultiShard(t *testing.T) {
 	if p2.NumShards() != 3 {
 		t.Fatalf("reopened shards = %d, want 3", p2.NumShards())
 	}
-	store2, err := kvstore.RecoverShardedStore(p2, 64, chunks, 0)
+	store2, err := kvstore.RecoverShardedStore(p2, 64, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPoolSingleShardImageCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := kvstore.RecoverMontageStore(sys, 64, chunks1, 0)
+	s1, err := kvstore.RecoverMontageStore(sys, 64, chunks1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestPoolSingleShardImageCompat(t *testing.T) {
 	if p2.NumShards() != 1 {
 		t.Fatalf("single-file image opened as %d shards", p2.NumShards())
 	}
-	s2, err := kvstore.RecoverShardedStore(p2, 64, chunks2, 0)
+	s2, err := kvstore.RecoverShardedStore(p2, 64, chunks2)
 	if err != nil {
 		t.Fatal(err)
 	}

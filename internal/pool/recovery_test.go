@@ -18,7 +18,7 @@ func recoverMap(t *testing.T, p *pool.Pool) (*pool.Pool, map[string]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := kvstore.RecoverShardedStore(p2, 64, chunks, 0)
+	store, err := kvstore.RecoverShardedStore(p2, 64, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestOpenManifestDirIgnoresStaleShardFile(t *testing.T) {
 	if p2.NumShards() != 2 {
 		t.Fatalf("reopened shards = %d, want the manifest's 2", p2.NumShards())
 	}
-	store2, err := kvstore.RecoverShardedStore(p2, 64, chunks, 0)
+	store2, err := kvstore.RecoverShardedStore(p2, 64, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}

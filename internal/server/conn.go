@@ -705,7 +705,6 @@ func (c *conn) statsBody(r *rt) []byte {
 	put("touch_hits", st.Touches.Load())
 	put("cas_hits", st.CASHits.Load())
 	put("cas_badval", st.CASMisses.Load())
-	put("evictions", st.Evictions.Load())
 	put("expired_unfetched", st.Expirations.Load())
 	put("curr_items", r.store.Len())
 	if r.pool != nil {

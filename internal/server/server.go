@@ -100,8 +100,6 @@ type Config struct {
 	ArenaSize int
 	// Buckets is the index bucket count (default 4096).
 	Buckets int
-	// Capacity bounds the item count with LRU eviction (0 = unbounded).
-	Capacity int
 	// Shards is the number of independent Montage epoch domains the
 	// store is partitioned into (default 1). Keys route to shards by a
 	// stable hash; each shard has its own device, heap, and epoch
@@ -298,7 +296,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		m := baselines.NewTransientMap(env, medium, cfg.Buckets)
 		s.cur = &rt{
-			store:   kvstore.New(kvstore.NewTransientBackend(m), cfg.Capacity),
+			store:   kvstore.New(kvstore.NewTransientBackend(m), 0),
 			crashCh: make(chan struct{}),
 		}
 		s.rec = cfg.Recorder
@@ -331,7 +329,7 @@ func (s *Server) openMontage() (*rt, error) {
 			return nil, fmt.Errorf("server: recover pool %s: %w", s.cfg.PoolPath, err)
 		}
 		if loaded {
-			store, err := kvstore.RecoverShardedStore(p, s.cfg.Buckets, chunks, s.cfg.Capacity)
+			store, err := kvstore.RecoverShardedStore(p, s.cfg.Buckets, chunks)
 			if err != nil {
 				return nil, fmt.Errorf("server: rebuild store: %w", err)
 			}
@@ -342,7 +340,7 @@ func (s *Server) openMontage() (*rt, error) {
 	if err != nil {
 		return nil, err
 	}
-	store := kvstore.New(kvstore.NewShardedBackend(p, s.cfg.Buckets), s.cfg.Capacity)
+	store := kvstore.New(kvstore.NewShardedBackend(p, s.cfg.Buckets), 0)
 	return newMontageRT(p, store, p.Shard(0).Recorder(), s.adminTid), nil
 }
 
@@ -446,7 +444,7 @@ func (s *Server) Crash(mode pmem.CrashMode) (survivors int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	store, err := kvstore.RecoverShardedStore(p, s.cfg.Buckets, chunks, s.cfg.Capacity)
+	store, err := kvstore.RecoverShardedStore(p, s.cfg.Buckets, chunks)
 	if err != nil {
 		return 0, err
 	}
