@@ -17,7 +17,8 @@ test: vet serve-smoke
 
 # Race-check the concurrency-heavy packages: the simulated device (the
 # write-combining staging pipeline under concurrent writers and a
-# crashing daemon), the observability recorder (hammered from every
+# crashing daemon), the allocator (concurrent alloc/free through the
+# per-thread caches, the parallel recovery sweep), the observability recorder (hammered from every
 # worker), the epoch system, the data structures, the sharded pool
 # (concurrent writers + whole-pool crash/recovery), the core engine, the
 # striped kvstore, the network front end (shared epoch-wait parking
@@ -31,7 +32,7 @@ test: vet serve-smoke
 # park/resume, a slow reader under the lot subscriber, a hang-up behind
 # data), on the reactor and on the stream source, get ten extra runs.
 race:
-	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/chaos
+	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/ralloc ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/chaos
 	$(GO) test -race -count 5 -run TestHashMapMixedSyncCrashRecover ./internal/pds
 	$(GO) test -race -count 10 -run 'TestAckSettlesUnderRunningPump|TestThrottleStallReactor|TestSlowReaderDoesNotHoldTheLot|TestHangUpBehindDataClosesConn|TestStreamSourceWindows' ./internal/server
 

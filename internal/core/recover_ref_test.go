@@ -115,7 +115,7 @@ func describe(ps []*PBlk) string {
 }
 
 func TestRecoverAgainstReference(t *testing.T) {
-	long := string(bytes.Repeat([]byte("x"), 300)) // a second size class
+	long := string(bytes.Repeat([]byte("x"), 300)) // a second size class, checked below
 	const clock = 10                               // cutoff 8
 	cases := []struct {
 		name   string
@@ -153,7 +153,7 @@ func TestRecoverAgainstReference(t *testing.T) {
 			{uid: 2, epoch: 6, typ: payload.Delete},
 			{uid: 3, epoch: 3, typ: payload.Alloc, data: "superseded and freed", freed: true},
 			{uid: 3, epoch: 6, typ: payload.Update, data: long},
-			{uid: 4, epoch: 2, typ: payload.Alloc, tag: 3, data: string(bytes.Repeat([]byte("y"), 40))}, // the 96-byte class
+			{uid: 4, epoch: 2, typ: payload.Alloc, tag: 3, data: string(bytes.Repeat([]byte("y"), 40))}, // the 80-byte class, no multiple of 64
 		}},
 	}
 	for _, tc := range cases {
@@ -172,6 +172,14 @@ func TestRecoverAgainstReference(t *testing.T) {
 				sys, got, err := Recover(dev, cfg, workers)
 				if err != nil {
 					t.Fatal(err)
+				}
+				bs := sys.Heap().BlockSize
+				for _, b := range blocks {
+					for _, o := range blocks {
+						if b.data == long && o.data != long && bs(o.addr) == bs(b.addr) {
+							t.Fatalf("test setup: %d and %d data bytes share a %d-byte class", len(o.data), len(long), bs(b.addr))
+						}
+					}
 				}
 				sys.Abandon()
 				if describe(got) != describe(want) {

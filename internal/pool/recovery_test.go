@@ -1,13 +1,19 @@
 package pool_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"montage/internal/kvstore"
 	"montage/internal/pmem"
 	"montage/internal/pool"
+	"montage/internal/ralloc"
 )
 
 // recoverMap crashes aside, rebuilds a sharded store from a recovered
@@ -123,5 +129,59 @@ func TestOpenManifestDirIgnoresStaleShardFile(t *testing.T) {
 	}
 	if n := len(store2.Keys(0)); n != len(keys) {
 		t.Fatalf("reopened store has %d keys, want %d (stale shard leaked in?)", n, len(keys))
+	}
+}
+
+// TestOpenRejectsClassIndexHeader: a saved image whose superblock header
+// holds a size-class index where the block size belongs — what headers
+// recorded before they recorded sizes; 9 was the 1536-byte class — fails
+// to open with ralloc.ErrBadSuperblock naming that superblock. Swept at
+// the stride the index names in today's table, the superblock's 1 KB
+// items would come back missing, and nothing would report it.
+func TestOpenRejectsClassIndexHeader(t *testing.T) {
+	img := filepath.Join(t.TempDir(), "p.img")
+	p := newTestPool(t, 1)
+	store := kvstore.New(kvstore.NewShardedBackend(p, 64), 0)
+	val := bytes.Repeat([]byte("v"), 1024)
+	for i := 0; i < 2000; i++ {
+		if err := store.Set(0, "key-"+itoa(i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Save(0, img); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+
+	raw, err := os.ReadFile(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The superblock holding the first value; its header is the magic
+	// then the block size, both little-endian uint32s.
+	at := bytes.Index(raw, val)
+	if at < ralloc.MetaRegionSize {
+		t.Fatal("test setup: no value in the image's superblocks")
+	}
+	sb := (at - ralloc.MetaRegionSize) / ralloc.DefaultSuperblockSize
+	binary.LittleEndian.PutUint32(raw[ralloc.MetaRegionSize+sb*ralloc.DefaultSuperblockSize+4:], 9)
+	if err := os.WriteFile(img, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, chunks, _, err := pool.Open(img, pool.Config{Core: testCoreConfig()}, 2)
+	if err == nil {
+		defer p2.Close()
+		got, err := kvstore.RecoverShardedStore(p2, 64, chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("Open recovered %d of 2000 keys and reported no error; want ralloc.ErrBadSuperblock", len(got.Keys(0)))
+	}
+	if !errors.Is(err, ralloc.ErrBadSuperblock) {
+		t.Fatalf("Open: %v; want ralloc.ErrBadSuperblock", err)
+	}
+	if want := fmt.Sprintf("superblock %d records block size 9", sb); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not say %q", err, want)
 	}
 }

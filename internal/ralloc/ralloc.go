@@ -6,9 +6,9 @@
 // caches live in ordinary Go memory and are rebuilt after a crash by a
 // garbage-collection-style sweep of the arena. The only persistent
 // metadata is a small per-superblock header recording the superblock's
-// size class, written (and made durable) once when the superblock is first
-// carved. Allocation and deallocation therefore perform no write-backs and
-// no fences — the property that makes Ralloc fast and that Montage's
+// block size in bytes, written (and made durable) once when the
+// superblock is first carved. Allocation and deallocation therefore
+// perform no write-backs and no fences — the property that makes Ralloc fast and that Montage's
 // two-epoch reclamation discipline depends on.
 //
 // The arena is divided into fixed-size superblocks; each superblock serves
@@ -39,7 +39,12 @@ const MetaRegionSize = 4096
 // (8 bytes, little endian).
 const EpochClockAddr pmem.Addr = 64
 
-// sbHeaderSize is the persisted header at the start of every superblock.
+// sbHeaderSize is the persisted header at the start of every superblock:
+// sbMagic in bytes 0–3 and the block size in bytes, not a class index, in
+// bytes 4–7 (both little endian); the rest is zero. Recording the size
+// keeps an image readable only by a binary whose table has that exact
+// class, so a table change cannot make recovery slice a superblock at
+// the wrong stride.
 const sbHeaderSize = 64
 
 // sbMagic marks an initialized superblock header.
@@ -48,12 +53,22 @@ const sbMagic uint32 = 0x53424c4b // "SBLK"
 // DefaultSuperblockSize is the default superblock size in bytes.
 const DefaultSuperblockSize = 64 << 10
 
-// sizeClasses are the supported block sizes (header + data), in bytes.
-// They must each divide into a superblock (after its header) at least
-// once, and must be multiples of 8.
-var sizeClasses = []int{
-	64, 96, 128, 192, 256, 384, 512, 768,
-	1024, 1536, 2048, 3072, 4096, 6144, 8192, 12288, 16384,
+// sizeClasses are the supported block sizes (header + data), in bytes:
+// jemalloc's spacing (also LRMalloc's, Ralloc's lineage), four classes
+// per doubling from 64 to 16384, so a block is less than 1.25× any
+// request above 64 B. Each is a multiple of 16, at least 64 (AddrSet's
+// one bit per 64 B relies on it) and fits a default superblock after its
+// header (TestSizeClassTable).
+var sizeClasses = [...]int{
+	64, 80, 96, 112,
+	128, 160, 192, 224,
+	256, 320, 384, 448,
+	512, 640, 768, 896,
+	1024, 1280, 1536, 1792,
+	2048, 2560, 3072, 3584,
+	4096, 5120, 6144, 7168,
+	8192, 10240, 12288, 14336,
+	16384,
 }
 
 // ErrOutOfMemory reports arena exhaustion.
@@ -62,8 +77,14 @@ var ErrOutOfMemory = errors.New("ralloc: out of persistent memory")
 // ErrTooLarge reports an allocation request above the largest size class.
 var ErrTooLarge = errors.New("ralloc: allocation exceeds largest size class")
 
+// ErrBadSuperblock reports a superblock header that carries the magic but
+// a block size that is no size class of this binary's table (or does not
+// fit the superblock): an image written under another table, or a corrupt
+// header. Recovering around it would lose every block it holds.
+var ErrBadSuperblock = errors.New("ralloc: bad superblock header")
+
 // classLUT maps ceil(n/8) to the index of the smallest size class that
-// holds n bytes. Size classes are multiples of 8, so 8-byte granularity
+// holds n bytes. Size classes are multiples of 16, so 8-byte granularity
 // is exact, and the table keeps classFor — on the critical path of every
 // Alloc and Free — to a bounds check and one load instead of a scan.
 var classLUT [16384/8 + 1]int8
@@ -267,8 +288,9 @@ func (h *Heap) carve(tid int, cls int) error {
 	}
 	base := h.sbAddr(idx)
 	var hdr [sbHeaderSize]byte
+	bs := sizeClasses[cls]
 	putU32(hdr[0:], sbMagic)
-	putU32(hdr[4:], uint32(cls))
+	putU32(hdr[4:], uint32(bs))
 	// The header is persisted eagerly (one write-back + fence per
 	// superblock lifetime, amortized over thousands of allocations).
 	if err := h.dev.WriteDurable(base, hdr[:]); err != nil {
@@ -277,7 +299,6 @@ func (h *Heap) carve(tid int, cls int) error {
 	h.sbClass[idx].Store(int32(cls))
 	h.stats.Get().Inc(tid, obs.CCarves)
 
-	bs := sizeClasses[cls]
 	n := (h.sbSize - sbHeaderSize) / bs
 	blocks := make([]pmem.Addr, 0, n)
 	for i := 0; i < n; i++ {

@@ -2,8 +2,11 @@ package ralloc
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -108,7 +111,7 @@ func TestDistinctSizeClassesDistinctSuperblocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := h.Alloc(0, 2000) // class 3072
+	b, err := h.Alloc(0, 2000) // class 2048
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,20 +414,25 @@ func TestRecoverOrderAndDataAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAddrSetOneBitPerBlock: blocks of every size class, the 96-byte one
-// that is no multiple of 64 included, land on bits of their own.
+// TestAddrSetOneBitPerBlock: blocks of every size class, the five that
+// are no multiple of 64 (80, 96, 112, 160, 224) included, land on bits
+// of their own. Each class fills one superblock and starts a second.
 func TestAddrSetOneBitPerBlock(t *testing.T) {
-	h := newHeap(t, 1<<22, 1)
+	h := newHeap(t, 1<<23, 1)
 	set := h.NewAddrSet()
 	var addrs []pmem.Addr
-	for _, size := range []int{1, 40, 90, 150} {
-		for i := 0; i < 700; i++ {
+	for _, bs := range sizeClasses {
+		size := bs - payload.HeaderSize
+		for i := 0; i <= (DefaultSuperblockSize-sbHeaderSize)/bs; i++ {
 			a, err := h.Alloc(0, size)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got := h.BlockSize(a); got != bs {
+				t.Fatalf("data size %d landed in a %d-byte block, want %d", size, got, bs)
+			}
 			if set.Has(a) {
-				t.Fatalf("block %d (data size %d) shares a bit with an earlier block", a, size)
+				t.Fatalf("block %d (class %d) shares a bit with an earlier block", a, bs)
 			}
 			set.Add(a)
 			addrs = append(addrs, a)
@@ -438,6 +446,78 @@ func TestAddrSetOneBitPerBlock(t *testing.T) {
 	for i, a := range addrs {
 		if set.Has(a) != (i%2 == 1) {
 			t.Fatalf("block %d: Has = %v after removing every other block", a, set.Has(a))
+		}
+	}
+}
+
+// TestSizeClassTable pins the table's shape: strictly increasing,
+// multiples of 16 from 64 up (AddrSet's one bit per 64 B needs the
+// floor), each fitting a default superblock after its header, and no
+// request above 64 B given a block of 1.25× its size or more.
+func TestSizeClassTable(t *testing.T) {
+	for i, c := range sizeClasses {
+		if i > 0 && c <= sizeClasses[i-1] {
+			t.Fatalf("class %d (%d B) does not exceed class %d (%d B)", i, c, i-1, sizeClasses[i-1])
+		}
+		if c%16 != 0 || c < 64 {
+			t.Fatalf("class %d is %d B: not a multiple of 16 of at least 64", i, c)
+		}
+		if c > DefaultSuperblockSize-sbHeaderSize {
+			t.Fatalf("class %d (%d B) does not fit a superblock after its header", i, c)
+		}
+	}
+	max := sizeClasses[len(sizeClasses)-1]
+	for n := 65; n <= max; n++ {
+		if bs := sizeClasses[classFor(n)]; 4*bs >= 5*n {
+			t.Fatalf("a %d-byte request takes a %d-byte block: not under 1.25x", n, bs)
+		}
+	}
+}
+
+// TestRecoverRejectsUnknownBlockSize: a superblock header with the magic
+// but a block size that is no class of this table — a class index as an
+// older format wrote it (9 was 1536 B), a size between classes, zero, one
+// larger than a superblock — fails recovery with ErrBadSuperblock naming
+// the superblock, instead of sweeping it at the wrong stride and losing
+// its blocks.
+func TestRecoverRejectsUnknownBlockSize(t *testing.T) {
+	for _, bad := range []uint32{9, 1000, 0, 1 << 20} {
+		dev := pmem.NewDevice(1<<20, 1, nil)
+		h, _ := New(dev, 1, Options{})
+		// A small block first, so the 1 KB payloads' superblock is not
+		// superblock 0 and the error must name the right one.
+		small, _ := h.Alloc(0, 20)
+		writeBlock(t, h, 0, small, payload.Header{Epoch: 1, UID: 1, Typ: payload.Alloc}, []byte("x"))
+		data := bytes.Repeat([]byte("k"), 1024)
+		var first pmem.Addr
+		for i := 0; i < 10; i++ {
+			a, err := h.Alloc(0, len(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeBlock(t, h, 0, a, payload.Header{Epoch: 1, UID: uint64(i + 2), Typ: payload.Alloc}, data)
+			if i == 0 {
+				first = a
+			}
+		}
+		idx := h.sbIndex(first)
+		if idx == h.sbIndex(small) || h.BlockSize(first) != 1280 {
+			t.Fatalf("test setup: 1 KB payloads in superblock %d with %d-byte blocks", idx, h.BlockSize(first))
+		}
+		var field [4]byte
+		putU32(field[:], bad)
+		if err := dev.WriteDurable(h.sbAddr(idx)+4, field[:]); err != nil {
+			t.Fatal(err)
+		}
+
+		dev.Crash(pmem.CrashDropAll)
+		h2, _ := New(dev, 1, Options{})
+		blocks, err := h2.Recover(2, math.MaxUint64)
+		if !errors.Is(err, ErrBadSuperblock) {
+			t.Fatalf("size field %d: Recover = %d blocks, err %v; want ErrBadSuperblock", bad, len(blocks), err)
+		}
+		if want := fmt.Sprintf("superblock %d records block size %d", idx, bad); !strings.Contains(err.Error(), want) {
+			t.Fatalf("size field %d: error %q does not say %q", bad, err, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ralloc
 
 import (
+	"fmt"
 	"sync"
 
 	"montage/internal/payload"
@@ -53,7 +54,8 @@ func (h *Heap) Recover(workers int, cutoff uint64) ([]Block, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	// Phase 1: rebuild superblock class map from persisted headers.
+	// Phase 1: rebuild superblock class map from persisted headers, each
+	// recorded block size mapped back to its class.
 	// Superblock i's blocks go to all[first[i]:], one element per slot it
 	// has, so workers never share one.
 	hdr := make([]byte, sbHeaderSize)
@@ -63,17 +65,19 @@ func (h *Heap) Recover(workers int, cutoff uint64) ([]Block, error) {
 			return nil, err
 		}
 		first[i+1] = first[i]
-		if getU32(hdr[0:]) == sbMagic {
-			cls := int32(getU32(hdr[4:]))
-			if int(cls) < len(sizeClasses) {
-				h.sbClass[i].Store(cls)
-				first[i+1] += (h.sbSize - sbHeaderSize) / sizeClasses[cls]
-				if i >= int(h.nextSB.Load()) {
-					h.nextSB.Store(int64(i + 1))
-				}
-			}
-		} else {
+		if getU32(hdr[0:]) != sbMagic {
 			h.sbClass[i].Store(-1)
+			continue
+		}
+		bs := int(getU32(hdr[4:]))
+		cls := classFor(bs)
+		if cls < 0 || sizeClasses[cls] != bs || bs > h.sbSize-sbHeaderSize {
+			return nil, fmt.Errorf("%w: superblock %d records block size %d", ErrBadSuperblock, i, bs)
+		}
+		h.sbClass[i].Store(int32(cls))
+		first[i+1] += (h.sbSize - sbHeaderSize) / bs
+		if i >= int(h.nextSB.Load()) {
+			h.nextSB.Store(int64(i + 1))
 		}
 	}
 
