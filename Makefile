@@ -25,7 +25,9 @@ test: vet serve-smoke
 # lot, one pump per connection over the reactor or a stream source), and
 # the chaos harness (workers, advancer and crash racing on one pool). The
 # library-level durability regression fails only intermittently when it
-# fails at all, so it gets five extra runs. The server's TestAllocs* gates
+# fails at all, so it gets five extra runs, and so does the lock-free
+# readers' check against recovered payloads whose blocks are reclaimed
+# and reused under them. The server's TestAllocs* gates
 # are skipped: under the race detector sync.Pool drops items at random,
 # so "0 allocs/op" cannot hold; conns-smoke runs them without -race. The
 # window tests (an ack settling under a running pump, throttle
@@ -33,7 +35,7 @@ test: vet serve-smoke
 # data), on the reactor and on the stream source, get ten extra runs.
 race:
 	$(GO) test -race -skip '^TestAllocs' ./internal/pmem ./internal/ralloc ./internal/obs ./internal/epoch ./internal/core ./internal/pds ./internal/pool ./internal/kvstore ./internal/server ./internal/chaos
-	$(GO) test -race -count 5 -run TestHashMapMixedSyncCrashRecover ./internal/pds
+	$(GO) test -race -count 5 -run 'TestHashMapMixedSyncCrashRecover|TestLockFreeReadsOfRecoveredPayloads' ./internal/pds
 	$(GO) test -race -count 10 -run 'TestAckSettlesUnderRunningPump|TestThrottleStallReactor|TestSlowReaderDoesNotHoldTheLot|TestHangUpBehindDataClosesConn|TestStreamSourceWindows' ./internal/server
 
 # go vet, lint-dead, and any file gofmt would rewrite. The serving
@@ -81,6 +83,9 @@ vet: lint-dead
 # workload, chaos band and smoke ran the store unbounded and no test
 # drove the shell; benchmark/ is skipped, since its served-workload
 # guard still reads the stat by name.
+# The superblock size is a constant (the image does not record it), so
+# no Config or Options field may set it again; and the kvstore takes its
+# CAS sequence inside the parallel rebuild, not in a walk after it.
 lint-dead:
 	@! grep -rnE 'BlockingAdvance|advanceNB|DrainShared|MarkDirty|DirtyBacklog|SettleAll|CrashAtClaim|CrashAtSettle' --include='*.go' .
 	@! grep -rnE 'flushq|submitFlush|scheduleFlushLocked|pumpq|pumpWorker\b|schedulePump' --include='*.go' .
@@ -103,6 +108,7 @@ lint-dead:
 	@! grep -rnE 'SkipListMap|NewVector|RecoverVector|LFStack|TagSkipList\b|TagVector|TagLFStack|SavePool|ListenAndServe|SystemFor|MaxBlockSize|PendingFree' --include='*.go' .
 	@! test -e cmd/montage-kv
 	@! grep -rnE 'lruSeg|evictOne|Evictions|cfg\.Capacity|"capacity"|"evictions"' --include='*.go' --exclude-dir=benchmark .
+	@! grep -rnE '\bSuperblockSize\b|restoreCASSeq' --include='*.go' .
 
 # End-to-end smoke of the network front end: a loopback montage-serve
 # instance driven by a montage-load burst in each durability-ack mode,

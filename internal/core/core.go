@@ -46,8 +46,6 @@ type Config struct {
 	// Costs, when non-nil, attaches a virtual-time cost model for the
 	// benchmark harness.
 	Costs *simclock.Costs
-	// SuperblockSize overrides the allocator superblock size.
-	SuperblockSize int
 	// Recorder, when non-nil, is the observability recorder the system
 	// reports to; sharing one recorder across systems aggregates their
 	// counters (the benchmark harness does this). When nil, NewSystem and
@@ -99,7 +97,7 @@ func NewSystem(cfg Config) (*System, error) {
 	// Attach the recorder before the heap and epoch system are built so
 	// both inherit it (the epoch daemon may start ticking immediately).
 	dev.SetRecorder(rec)
-	heap, err := ralloc.New(dev, cfg.MaxThreads, ralloc.Options{SuperblockSize: cfg.SuperblockSize})
+	heap, err := ralloc.New(dev, cfg.MaxThreads, ralloc.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -182,6 +180,17 @@ func (s *System) BeginOp(tid int) Op {
 
 // EndOp completes an update operation.
 func (s *System) EndOp(tid int) { s.esys.EndOp(tid) }
+
+// BeginRead registers a read that holds no lock against the payloads'
+// unlinking: until EndRead, no payload it can reach is reclaimed and
+// reused. Lock-free structures bracket every payload read with it,
+// because a recovered payload's data is its block in the arena, not a
+// copy (DESIGN §15). It is not an operation: it counts nothing and
+// charges no virtual time.
+func (s *System) BeginRead(tid int) { s.esys.BeginRead(tid) }
+
+// EndRead ends a read begun with BeginRead.
+func (s *System) EndRead(tid int) { s.esys.EndRead(tid) }
 
 // DoOp runs fn inside a BeginOp/EndOp bracket.
 func (s *System) DoOp(tid int, fn func(op Op) error) error {

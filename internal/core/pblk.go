@@ -24,9 +24,11 @@ type PBlk struct {
 	addr  pmem.Addr
 	epoch uint64
 	uid   uint64
-	typ   payload.Type
-	tag   uint16
-	data  []byte
+	// data is the payload's data section: a heap copy for a payload made
+	// by this system, and for a recovered payload its block in the arena
+	// itself (a pmem View), which no Set ever updates in place
+	// (DESIGN §15).
+	data []byte
 
 	// mu orders same-epoch in-place mutations (Set, PDelete) against a
 	// write-back of this block running on another thread. The structure's
@@ -39,6 +41,10 @@ type PBlk struct {
 	// queued again rather than lost.
 	mu sync.Mutex
 
+	// typ and tag sit beside the flags so the struct packs into 80 bytes.
+	typ payload.Type
+	tag uint16
+
 	buffered atomic.Bool // queued in a to_persist buffer
 	flushed  atomic.Bool // written back at least once (bytes may be durable)
 	dead     atomic.Bool // cancelled or superseded: skip queued write-backs
@@ -48,13 +54,23 @@ type PBlk struct {
 func (p *PBlk) PAddr() pmem.Addr { return p.addr }
 
 // PEncodedSize implements epoch.Persistable.
-func (p *PBlk) PEncodedSize() int { return payload.EncodedSize(len(p.data)) }
+func (p *PBlk) PEncodedSize() int { return payload.EncodedSize(len(p.image())) }
 
 // PEncodeInto implements epoch.Persistable: header and data serialize as
 // one combined image directly into the device's staging buffer, so a
 // payload mutation costs a single staged write-back and no allocation.
 func (p *PBlk) PEncodeInto(dst []byte) {
-	payload.Encode(dst, payload.Header{Epoch: p.epoch, UID: p.uid, Typ: p.typ, Tag: p.tag}, p.data)
+	payload.Encode(dst, payload.Header{Epoch: p.epoch, UID: p.uid, Typ: p.typ, Tag: p.tag}, p.image())
+}
+
+// image is the data section a write-back of the block carries: none for
+// an anti-payload. PDelete's in-place conversion leaves the data field
+// alone, since a lock-free reader may be loading it.
+func (p *PBlk) image() []byte {
+	if p.typ == payload.Delete {
+		return nil
+	}
+	return p.data
 }
 
 // Lock and Unlock bracket one write-back of the block (epoch.flushOne).
@@ -165,6 +181,7 @@ func (op Op) Set(p *PBlk, data []byte) (*PBlk, error) {
 		// In-place update: the block is "hot" — created or already copied
 		// in this epoch — so mutating it cannot break the two-epoch rule.
 		if len(data) <= s.heap.DataCapacity(p.addr) {
+			assertNotView(s.dev, p.data)
 			p.mu.Lock()
 			p.data = append(p.data[:0], data...)
 			p.mu.Unlock()
@@ -240,7 +257,6 @@ func (op Op) PDelete(p *PBlk) error {
 		// back). Convert it in place into its own anti-payload and make
 		// sure the DELETE version is (re)queued for write-back.
 		p.typ = payload.Delete
-		p.data = nil
 		p.mu.Unlock()
 		s.esys.AddToPersist(op.tid, op.epoch, p)
 		s.esys.AddToFree(op.tid, op.epoch+1, p.addr)

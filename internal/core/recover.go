@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"time"
 
 	"montage/internal/epoch"
@@ -24,10 +25,12 @@ import (
 // and the allocator's free lists are rebuilt around the survivors.
 //
 // workers parallelizes the arena sweep (the paper's k recovery
-// iterators). The caller hands the returned payloads to each data
-// structure's rebuild routine, which reconstructs the transient index
-// (constraint 6: the rebuilt concrete state must mean the same abstract
-// state as the surviving payload set).
+// iterators) and the per-uid pick of each payload's newest version. A
+// survivor's data is its block in the arena, read in place and never
+// copied (DESIGN §15). The caller hands the returned payloads to each
+// data structure's rebuild routine, which reconstructs the transient
+// index (constraint 6: the rebuilt concrete state must mean the same
+// abstract state as the surviving payload set).
 //
 // After recovery, the pre-crash System (if the process still holds one)
 // must be discarded without further use — in particular without calling
@@ -48,7 +51,7 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	// invalidations and the new system's clock can reach the media. Writes
 	// staged before the crash stay dead behind the crash floor.
 	dev.Revive()
-	heap, err := ralloc.New(dev, cfg.MaxThreads, ralloc.Options{SuperblockSize: cfg.SuperblockSize})
+	heap, err := ralloc.New(dev, cfg.MaxThreads, ralloc.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -62,66 +65,103 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	}
 
 	// Worker w sweeps as thread id w, and the clock has MaxThreads of them.
-	if workers > cfg.MaxThreads {
-		workers = cfg.MaxThreads
+	workers = max(1, min(workers, cfg.MaxThreads))
+	// While a block is in its cache, its sweep worker bins its index by
+	// uid (uid mod workers) if it is at or below the cutoff, so each uid
+	// shard's winner pick below reads only its own blocks.
+	sweepers := make([]sweeper, workers)
+	for w := range sweepers {
+		sweepers[w].bins = make([][]int32, workers)
 	}
 	sweepStart := time.Now()
-	blocks, err := heap.Recover(workers, cutoff)
+	blocks, err := heap.Recover(workers, cutoff, func(w, i int, b *ralloc.Block) {
+		sw := &sweepers[w]
+		sw.found++
+		sw.maxUID = max(sw.maxUID, b.Header.UID)
+		if b.Header.Epoch <= cutoff {
+			s := b.Header.UID % uint64(workers)
+			sw.bins[s] = append(sw.bins[s], int32(i))
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
+	var found int
+	var maxUID uint64
+	for w := range sweepers {
+		found += sweepers[w].found
+		maxUID = max(maxUID, sweepers[w].maxUID)
+	}
 	rec.Add(0, obs.CRecoverySweepNs, uint64(time.Since(sweepStart).Nanoseconds()))
-	rec.Add(0, obs.CRecoveredBlocks, uint64(len(blocks)))
+	rec.Add(0, obs.CRecoveredBlocks, uint64(found))
 
 	filterStart := time.Now()
-	// Pick, per uid, the newest version at or below the cutoff: winner maps
-	// a uid to its best block's index so far, and inUse holds the address
-	// of every uid's current winner unless that winner is an anti-payload.
-	winner := make(map[uint64]int32, len(blocks))
-	inUse := heap.NewAddrSet()
-	var maxUID uint64
-	for i := range blocks {
-		h := &blocks[i].Header
-		if h.UID > maxUID {
-			maxUID = h.UID
-		}
-		if h.Epoch > cutoff {
-			continue
-		}
-		if j, ok := winner[h.UID]; ok {
-			w := &blocks[j].Header
-			if h.Epoch < w.Epoch || (h.Epoch == w.Epoch && h.Typ != payload.Delete) {
-				continue
-			}
-			inUse.Remove(blocks[j].Addr)
-		}
-		winner[h.UID] = int32(i)
-		if h.Typ != payload.Delete {
-			inUse.Add(blocks[i].Addr)
-		}
-	}
-
 	sys := &System{cfg: cfg, dev: dev, heap: heap, clk: dev.Clock(), rec: rec}
 	sys.uid.Store(maxUID)
+	// One goroutine per uid shard picks each uid's newest version at or
+	// below the cutoff. It walks its bins in sweep order, so blocks and
+	// the PBlks it makes are touched in address order per worker, and it
+	// makes a block's PBlk as soon as the block leads its uid, dropping it
+	// if a later one supersedes it (most uids have one block). live[i] is
+	// the survivor at blocks[i], if any; its data is the sweep's view of
+	// the arena, never copied (DESIGN §15).
+	live := make([]*PBlk, len(blocks))
+	kept := make([]int, workers)
+	var wg sync.WaitGroup
+	for s := range kept {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			n, k := 0, 0
+			for w := range sweepers {
+				n += len(sweepers[w].bins[s])
+			}
+			winner := make(map[uint64]int32, n)
+			for w := range sweepers {
+				for _, i := range sweepers[w].bins[s] {
+					b := &blocks[i]
+					j, ok := winner[b.Header.UID]
+					if ok && !supersedes(&b.Header, i, &blocks[j].Header, j) {
+						continue
+					}
+					winner[b.Header.UID] = i
+					if ok && live[j] != nil {
+						live[j] = nil
+						k--
+					}
+					if b.Header.Typ != payload.Delete {
+						p := &PBlk{
+							sys:   sys,
+							addr:  b.Addr,
+							epoch: b.Header.Epoch,
+							uid:   b.Header.UID,
+							typ:   b.Header.Typ,
+							tag:   b.Header.Tag,
+							data:  b.Data,
+						}
+						p.flushed.Store(true)
+						live[i] = p
+						k++
+					}
+				}
+			}
+			kept[s] = k
+		}(s)
+	}
+	wg.Wait()
 
 	// Address order: deterministic, for tests and rebuild partitioning.
-	survivors := make([]*PBlk, 0, len(winner))
-	for i := range blocks {
-		b := &blocks[i]
-		if !inUse.Has(b.Addr) {
-			continue
+	n := 0
+	for _, k := range kept {
+		n += k
+	}
+	survivors := make([]*PBlk, 0, n)
+	inUse := heap.NewAddrSet()
+	for _, p := range live {
+		if p != nil {
+			survivors = append(survivors, p)
+			inUse.Add(p.addr)
 		}
-		p := &PBlk{
-			sys:   sys,
-			addr:  b.Addr,
-			epoch: b.Header.Epoch,
-			uid:   b.Header.UID,
-			typ:   b.Header.Typ,
-			tag:   b.Header.Tag,
-			data:  b.Data,
-		}
-		p.flushed.Store(true)
-		survivors = append(survivors, p)
 	}
 	rec.Add(0, obs.CRecoveryFilterNs, uint64(time.Since(filterStart).Nanoseconds()))
 	rec.Add(0, obs.CRecoveredLive, uint64(len(survivors)))
@@ -138,7 +178,7 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	for pass := 0; pass < 2; pass++ {
 		for i := range blocks {
 			b := &blocks[i]
-			if inUse.Has(b.Addr) {
+			if b.Addr == pmem.NilAddr || live[i] != nil {
 				continue
 			}
 			isAnti := b.Header.Typ == payload.Delete
@@ -163,6 +203,30 @@ func Recover(dev *pmem.Device, cfg Config, workers int) (*System, []*PBlk, error
 	}
 	sys.esys = epoch.NewAt(heap, cfg.Epoch, restart)
 	return sys, survivors, nil
+}
+
+// sweeper is one sweep worker's share of recovery: its uid bins of block
+// indexes, one per shard, the number of valid blocks it found and the
+// largest uid among them, padded to a cache line of its own.
+type sweeper struct {
+	bins   [][]int32
+	found  int
+	maxUID uint64
+	_      [24]byte
+}
+
+// supersedes reports whether block a, at sweep index i, replaces block
+// b, at index j, as the recovered version of their shared uid: the newer
+// epoch wins; within one epoch an anti-payload beats a data version, and
+// otherwise the lower address does.
+func supersedes(a *payload.Header, i int32, b *payload.Header, j int32) bool {
+	if a.Epoch != b.Epoch {
+		return a.Epoch > b.Epoch
+	}
+	if aDel, bDel := a.Typ == payload.Delete, b.Typ == payload.Delete; aDel != bDel {
+		return aDel
+	}
+	return i < j
 }
 
 // FilterByTag returns the payloads whose owning-structure tag equals

@@ -369,15 +369,7 @@ func (s *Sys) Heap() *ralloc.Heap { return s.heap }
 // which implies system-wide progress.
 func (s *Sys) BeginOp(tid int) uint64 {
 	ts := &s.threads[tid]
-	var e uint64
-	for {
-		e = s.epoch.Load()
-		ts.active.Store(e)
-		if s.epoch.Load() == e {
-			break
-		}
-		ts.active.Store(0)
-	}
+	e := s.register(ts)
 	ts.opEpoch = e
 	if s.cfg.Transient {
 		ts.lastEpoch = e
@@ -418,6 +410,32 @@ func (s *Sys) EndOp(tid int) {
 	}
 	s.maybeAdvance(tid)
 }
+
+// BeginRead registers thread tid as a reader in the current epoch, with
+// the same register-and-verify step as BeginOp, until EndRead. waitAll
+// covers a reader as it covers an operation, so no block unlinked while
+// the reader may still hold it is reclaimed, and its bytes reused, under
+// the reader: a lock-free read of a recovered payload, whose data is the
+// arena itself, needs this. A read is not an operation: it counts no
+// operation, triggers no advance and charges no virtual time. tid must
+// not be inside BeginOp/EndOp.
+func (s *Sys) BeginRead(tid int) { s.register(&s.threads[tid]) }
+
+// register publishes ts as active in the current epoch and returns it,
+// retrying until the registration is consistent with the clock.
+func (s *Sys) register(ts *threadState) uint64 {
+	for {
+		e := s.epoch.Load()
+		ts.active.Store(e)
+		if s.epoch.Load() == e {
+			return e
+		}
+		ts.active.Store(0)
+	}
+}
+
+// EndRead ends thread tid's read registration.
+func (s *Sys) EndRead(tid int) { s.threads[tid].active.Store(0) }
 
 // CheckEpoch reports whether thread tid's active operation is still in
 // the current epoch. Nonblocking operations call it immediately before

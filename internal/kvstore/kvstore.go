@@ -573,18 +573,33 @@ func (s *Store) Keys(tid int) []string { return s.backend.Keys(tid) }
 // get reaps them. O(1) on the Montage backends.
 func (s *Store) Len() int { return s.backend.Len() }
 
-// restoreCASSeq resumes the CAS-token sequence above the largest token
-// in the recovered maps, so gets/cas pairs span the crash correctly.
-func (s *Store) restoreCASSeq(maps ...*pds.HashMap) {
-	var maxCAS uint64
-	for _, m := range maps {
-		m.Range(0, func(_ string, item []byte) {
-			if _, cas, _, ok := decodeItem(item); ok && cas > maxCAS {
-				maxCAS = cas
-			}
-		})
+// casMax is one rebuild worker's largest CAS token, on a cache line of
+// its own.
+type casMax struct {
+	v uint64
+	_ [56]byte
+}
+
+// recoverMap rebuilds a hashmap from chunks and returns it with the
+// largest CAS token among its items, each rebuild worker keeping its own
+// maximum as it links items. CAS tokens persist with the items, so the
+// store's token sequence resumes above it and gets/cas pairs span the
+// crash.
+func recoverMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*pds.HashMap, uint64, error) {
+	maxes := make([]casMax, len(chunks))
+	m, err := pds.RecoverHashMapTagged(sys, nBuckets, chunks, pds.TagHashMap, func(w int, item []byte) {
+		if _, cas, _, ok := decodeItem(item); ok && cas > maxes[w].v {
+			maxes[w].v = cas
+		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	s.casSeq.Store(maxCAS)
+	var top uint64
+	for _, c := range maxes {
+		top = max(top, c.v)
+	}
+	return m, top, nil
 }
 
 // RecoverMontageStore rebuilds a single-system Montage-backed store
@@ -592,12 +607,12 @@ func (s *Store) restoreCASSeq(maps ...*pds.HashMap) {
 // sequence resumes above the largest survivor.
 func RecoverMontageStore(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*Store, error) {
 	start := time.Now()
-	m, err := pds.RecoverHashMap(sys, nBuckets, chunks)
+	m, top, err := recoverMap(sys, nBuckets, chunks)
 	if err != nil {
 		return nil, err
 	}
 	s := New(NewMontageBackend(m), 0)
-	s.restoreCASSeq(m)
+	s.casSeq.Store(top)
 	sys.Recorder().Add(0, obs.CRecoveryBuildNs, uint64(time.Since(start).Nanoseconds()))
 	return s, nil
 }

@@ -82,9 +82,8 @@ func BenchmarkRecover100k(b *testing.B) {
 }
 
 // TestRecoverAllocsPerSurvivor pins recovery's garbage: a survivor costs
-// its data copy, its PBlk, its index node and its key — four heap
-// allocations — plus a share of the per-recovery tables. The two-map,
-// Snapshot-walking recovery this replaced spent seven.
+// its PBlk, its index node and its key — three heap allocations; its data
+// stays in the arena — plus a share of the per-recovery tables.
 func TestRecoverAllocsPerSurvivor(t *testing.T) {
 	const n = 20000
 	p := crashedPool(t, n, 100)
@@ -96,8 +95,8 @@ func TestRecoverAllocsPerSurvivor(t *testing.T) {
 	if s.Len() != n {
 		t.Fatalf("recovered %d items, want %d", s.Len(), n)
 	}
-	if per := float64(after.Mallocs-before.Mallocs) / n; per > 4.5 {
-		t.Fatalf("recovery made %.2f allocations per survivor, want <= 4.5", per)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 3.5 {
+		t.Fatalf("recovery made %.2f allocations per survivor, want <= 3.5", per)
 	} else {
 		t.Logf("%.2f allocations per survivor", per)
 	}

@@ -83,15 +83,16 @@ func RecoverShardedStore(p *pool.Pool, nBuckets int, chunks [][][]*core.PBlk) (*
 		return nil, fmt.Errorf("kvstore: recover: %d survivor chunk sets for %d shards", len(chunks), p.NumShards())
 	}
 	b := &ShardedBackend{p: p, maps: make([]*pds.HashMap, p.NumShards())}
+	var top uint64
 	for i := range b.maps {
-		m, err := pds.RecoverHashMap(p.Shard(i), nBuckets, chunks[i])
+		m, shardTop, err := recoverMap(p.Shard(i), nBuckets, chunks[i])
 		if err != nil {
 			return nil, fmt.Errorf("kvstore: recover shard %d: %w", i, err)
 		}
-		b.maps[i] = m
+		b.maps[i], top = m, max(top, shardTop)
 	}
 	s := New(b, 0)
-	s.restoreCASSeq(b.maps...)
+	s.casSeq.Store(top)
 	p.Shard(0).Recorder().Add(0, obs.CRecoveryBuildNs, uint64(time.Since(start).Nanoseconds()))
 	return s, nil
 }

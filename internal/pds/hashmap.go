@@ -70,7 +70,7 @@ func (m *HashMap) encode(tid int, key string, val []byte) []byte {
 // chunks may come from core.RecoverParallel; they are inserted by
 // workers goroutines in parallel.
 func RecoverHashMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*HashMap, error) {
-	return RecoverHashMapTagged(sys, nBuckets, chunks, TagHashMap)
+	return RecoverHashMapTagged(sys, nBuckets, chunks, TagHashMap, nil)
 }
 
 // RecoverHashMapTagged rebuilds a map from the payloads carrying tag.
@@ -78,14 +78,25 @@ func RecoverHashMap(sys *core.System, nBuckets int, chunks [][]*core.PBlk) (*Has
 // onto a head: walking the list on each insert costs a chain of cache
 // misses per pair, since other buckets' inserts come in between. The
 // sort is also where a key held by two payloads shows, as adjacent
-// equal keys.
-func RecoverHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk, tag uint16) (*HashMap, error) {
+// equal keys. If fold is not nil, the rebuild worker w (0 <= w <
+// len(chunks)) that links a pair calls it with the pair's value: a
+// caller deriving state from every value (the kvstore's CAS sequence)
+// gathers it inside the parallel rebuild instead of walking the map
+// afterwards. val is borrowed for the call.
+func RecoverHashMapTagged(sys *core.System, nBuckets int, chunks [][]*core.PBlk, tag uint16, fold func(w int, val []byte)) (*HashMap, error) {
 	m := NewHashMapTagged(sys, nBuckets, tag)
-	n, err := rebuildKV(sys, chunks, tag, func(_ int, key string, p *core.PBlk) error {
+	n, err := rebuild(sys, chunks, tag, func(w, _ int, p *core.PBlk, data []byte) error {
+		key, val, ok := decodeKV(data)
+		if !ok {
+			return ErrCorruptPayload
+		}
 		b := m.bucketFor(key)
 		b.mu.Lock()
 		b.head = &mapNode{key: key, payload: p, next: b.head}
 		b.mu.Unlock()
+		if fold != nil {
+			fold(w, val)
+		}
 		return nil
 	})
 	if err != nil {

@@ -160,7 +160,10 @@ func (q *LFQueue) Len() int {
 }
 
 // Drain returns all values in order without removing them (tests only).
+// It registers as a reader (core.System.BeginRead; see LFSet).
 func (q *LFQueue) Drain(tid int) ([][]byte, error) {
+	q.sys.BeginRead(tid)
+	defer q.sys.EndRead(tid)
 	var out [][]byte
 	for node := q.head.Value().next.Value(); node != nil; node = node.next.Value() {
 		if node.payload == nil {

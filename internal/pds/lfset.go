@@ -9,8 +9,11 @@ import (
 // on Montage: the transient index is a lock-free list with mark-bit
 // logical deletion; the key-value pairs are payloads. Insert and Remove
 // linearize on CASVerify so they provably linearize in the epoch that
-// labeled their payloads; Contains and Find are read-only and never touch
-// the epoch system (gets are invisible to recovery).
+// labeled their payloads. Reads are invisible to recovery, but Get and
+// Snapshot hold no lock against a concurrent Remove, so they register
+// with the epoch system (core.System.BeginRead) while they touch payload
+// data: a recovered payload's data is its block in the arena, which must
+// not be reclaimed and reused under them.
 type LFSet struct {
 	sys  *core.System
 	tag  uint16
@@ -183,6 +186,8 @@ func (s *LFSet) Contains(tid int, key string) bool {
 // Get returns a copy of the value stored under key.
 func (s *LFSet) Get(tid int, key string) ([]byte, bool) {
 	s.sys.Clock().ChargeOp(tid)
+	s.sys.BeginRead(tid)
+	defer s.sys.EndRead(tid)
 	curr, _ := s.head.next.Load()
 	for curr != nil && curr.key < key {
 		s.sys.Clock().ChargeDRAM(tid, 16)
@@ -217,6 +222,8 @@ func (s *LFSet) Len() int {
 
 // Snapshot returns the set contents (tests only; not linearizable).
 func (s *LFSet) Snapshot(tid int) map[string][]byte {
+	s.sys.BeginRead(tid)
+	defer s.sys.EndRead(tid)
 	out := map[string][]byte{}
 	curr, _ := s.head.next.Load()
 	for curr != nil {

@@ -260,9 +260,12 @@ func (m *LFSkipList) Remove(tid int, key string) (removed bool, err error) {
 	return removed, err
 }
 
-// Get returns a copy of the value under key (read-only, no epoch work).
+// Get returns a copy of the value under key. It registers as a reader
+// (core.System.BeginRead; see LFSet) but is no operation.
 func (m *LFSkipList) Get(tid int, key string) ([]byte, bool) {
 	m.sys.Clock().ChargeOp(tid)
+	m.sys.BeginRead(tid)
+	defer m.sys.EndRead(tid)
 	pred := m.head
 	for lvl := lfskipMaxLevel - 1; lvl >= 0; lvl-- {
 		curr, _ := pred.next[lvl].Load()
@@ -293,9 +296,12 @@ func (m *LFSkipList) Contains(tid int, key string) bool {
 
 // RangeScan returns all pairs with from <= key < to, in order (to == ""
 // means unbounded). The scan is a bottom-level traversal and is not
-// linearizable against concurrent updates.
+// linearizable against concurrent updates. Like Get, it registers as a
+// reader for the whole scan.
 func (m *LFSkipList) RangeScan(tid int, from, to string) (keys []string, vals [][]byte) {
 	m.sys.Clock().ChargeOp(tid)
+	m.sys.BeginRead(tid)
+	defer m.sys.EndRead(tid)
 	curr, _ := m.head.next[0].Load()
 	for curr != nil && curr.key < from {
 		curr, _ = curr.next[0].Load()

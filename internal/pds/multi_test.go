@@ -114,7 +114,7 @@ func TestMultipleStructuresShareOneSystem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RecoverHashMapTagged(sys2, 64, chunks, customTag)
+	r2, err := RecoverHashMapTagged(sys2, 64, chunks, customTag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +190,11 @@ func TestTagIsolationAcrossVersionsAndDeletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := [][]*core.PBlk{payloads}
-	ra, err := RecoverHashMapTagged(sys2, 16, chunks, tagA)
+	ra, err := RecoverHashMapTagged(sys2, 16, chunks, tagA, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := RecoverHashMapTagged(sys2, 16, chunks, tagB)
+	rb, err := RecoverHashMapTagged(sys2, 16, chunks, tagB, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@
 // steady-state WriteBack+Fence and Drain paths allocation-free. Drain
 // commits the combined cross-thread batch serially on its caller's
 // goroutine; the per-address coherence state is striped so that concurrent
-// worker fences and the recovery sweep's reads do not serialize behind one
-// lock.
+// worker fences and reads do not serialize behind one lock. Recovery reads
+// the arena in place through View, as it would a DAX-mapped device.
 package pmem
 
 import (
@@ -35,6 +35,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"montage/internal/obs"
 	"montage/internal/simclock"
@@ -188,8 +189,8 @@ func (b *threadBuf) recycleLocked(batch []stagedWrite) {
 
 // numStripes is the number of coherence stripes the per-address commit
 // state is sharded over. Committers and readers lock only their block's
-// stripe, so concurrent worker fences and the parallel recovery sweep's
-// reads do not serialize behind one global mutex.
+// stripe, so concurrent worker fences and reads do not serialize behind
+// one global mutex.
 const numStripes = 16
 
 // stripe holds the last committed sequence numbers for the addresses
@@ -544,21 +545,47 @@ func (d *Device) PendingWrites(tid int) int {
 // Read copies durable bytes at addr into dst, charging the NVM read cost.
 // It observes only fenced data; this is the view recovery code gets.
 func (d *Device) Read(tid int, addr Addr, dst []byte) error {
-	if err := d.check(addr, len(dst)); err != nil {
+	src, err := d.View(tid, addr, len(dst))
+	if err != nil {
 		return err
 	}
 	d.arenaMu.RLock()
 	st := d.stripeFor(addr)
 	st.mu.Lock()
-	copy(dst, d.durable[addr:])
+	copy(dst, src)
 	st.mu.Unlock()
 	d.arenaMu.RUnlock()
-	d.clk.ChargeNVMRead(tid, len(dst))
+	return nil
+}
+
+// View returns the n durable bytes at addr in place, charging tid the
+// NVM read cost of n bytes, as Read does: the read a DAX mapping gives,
+// with no copy. The slice's capacity is n, so an append to it never runs
+// on into the next block. The bytes are the media's, not a snapshot:
+// they change when a write to them commits, so the caller must keep
+// every such write ordered after its last use of the view (recovery's
+// invariants, DESIGN §15), and must never write through it.
+func (d *Device) View(tid int, addr Addr, n int) ([]byte, error) {
+	if err := d.check(addr, n); err != nil {
+		return nil, err
+	}
+	d.clk.ChargeNVMRead(tid, n)
 	if rec := d.stats.Get(); rec != nil {
 		rec.Inc(tid, obs.CReads)
-		rec.Add(tid, obs.CReadBytes, uint64(len(dst)))
+		rec.Add(tid, obs.CReadBytes, uint64(n))
 	}
-	return nil
+	return d.durable[addr : int(addr)+n : int(addr)+n], nil
+}
+
+// Aliases reports whether b's first byte lies in the durable arena, that
+// is, whether b is (part of) a View.
+func (d *Device) Aliases(b []byte) bool {
+	if cap(b) == 0 || len(d.durable) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(d.durable)))
+	return p >= lo && p < lo+uintptr(len(d.durable))
 }
 
 // WriteDurable writes data directly to the arena, bypassing staging. It

@@ -50,7 +50,9 @@ const sbHeaderSize = 64
 // sbMagic marks an initialized superblock header.
 const sbMagic uint32 = 0x53424c4b // "SBLK"
 
-// DefaultSuperblockSize is the default superblock size in bytes.
+// DefaultSuperblockSize is the superblock size in bytes. The image does
+// not record it, so no option changes it: a heap opened with another size
+// would sweep an image at the wrong superblock boundaries.
 const DefaultSuperblockSize = 64 << 10
 
 // sizeClasses are the supported block sizes (header + data), in bytes:
@@ -139,22 +141,14 @@ type Heap struct {
 	stats     obs.Holder
 }
 
-// Options configures heap construction.
-type Options struct {
-	// SuperblockSize overrides DefaultSuperblockSize.
-	SuperblockSize int
-}
+// Options configures heap construction. It has no fields; New keeps the
+// parameter for its existing callers.
+type Options struct{}
 
 // New creates a heap managing dev's arena for up to maxThreads workers.
 // The arena below MetaRegionSize is left to the caller (epoch clock).
-func New(dev *pmem.Device, maxThreads int, opts Options) (*Heap, error) {
-	sbSize := opts.SuperblockSize
-	if sbSize == 0 {
-		sbSize = DefaultSuperblockSize
-	}
-	if sbSize <= sbHeaderSize+sizeClasses[0] {
-		return nil, fmt.Errorf("ralloc: superblock size %d too small", sbSize)
-	}
+func New(dev *pmem.Device, maxThreads int, _ Options) (*Heap, error) {
+	sbSize := DefaultSuperblockSize
 	usable := dev.Size() - MetaRegionSize
 	if usable < sbSize {
 		return nil, fmt.Errorf("ralloc: arena too small for one superblock")

@@ -8,11 +8,14 @@ import (
 	"montage/internal/pmem"
 )
 
-// Block describes one valid payload block found by the recovery sweep.
+// Block is one block slot of the recovery sweep. A slot that holds no
+// valid payload is a hole: its Addr is NilAddr.
 type Block struct {
 	Addr   pmem.Addr
 	Header payload.Header
-	Data   []byte // copy of the data section; nil for a block that cannot survive
+	// Data is the data section, in place in the arena (a pmem View,
+	// capacity-capped at its length); nil for a block that cannot survive.
+	Data []byte
 }
 
 // AddrSet is a set of block addresses: one bit per 64 bytes of arena
@@ -36,28 +39,31 @@ func (s AddrSet) Has(a pmem.Addr) bool { w, bit := s.word(a); return *w&bit != 0
 // Add inserts a.
 func (s AddrSet) Add(a pmem.Addr) { w, bit := s.word(a); *w |= bit }
 
-// Remove deletes a.
-func (s AddrSet) Remove(a pmem.Addr) { w, bit := s.word(a); *w &^= bit }
-
 // Recover rebuilds the heap's transient metadata from the durable arena
-// after a crash and returns, in address order, every block that decodes
-// as a valid, untorn payload — including blocks from epochs the caller
-// will discard. Torn and never-written blocks are treated as free space.
+// after a crash and returns one Block per block slot of every carved
+// superblock, in address order: every slot that decodes as a valid,
+// untorn payload — including blocks from epochs the caller will discard
+// — and a hole for every other one. Torn and never-written blocks are
+// treated as free space.
 //
 // workers parallelizes the sweep across superblocks (the paper's k
-// recovery iterators). A block's data is copied while its superblock is
-// in cache, and only if the block can survive: labeled at or below cutoff
-// and not an anti-payload. The caller (Montage's epoch system) picks the
-// newest version per uid, durably invalidates the losers, and calls
-// FinishRecovery with the survivors' addresses to rebuild the free lists.
-func (h *Heap) Recover(workers int, cutoff uint64) ([]Block, error) {
+// recovery iterators). Each superblock is read through one pmem View, so
+// no byte is copied: a block's Data is its data section in the arena,
+// set only if the block can survive (labeled at or below cutoff and not
+// an anti-payload). If visit is not nil, sweep worker w (0 <= w <
+// workers) calls it for each valid block with the block's index in the
+// result, so the caller can sort blocks while they are in cache. The
+// caller (Montage's epoch system) picks the newest version per uid,
+// durably invalidates the losers, and calls FinishRecovery with the
+// survivors' addresses to rebuild the free lists.
+func (h *Heap) Recover(workers int, cutoff uint64, visit func(w, i int, b *Block)) ([]Block, error) {
 	if workers < 1 {
 		workers = 1
 	}
 	// Phase 1: rebuild superblock class map from persisted headers, each
 	// recorded block size mapped back to its class.
-	// Superblock i's blocks go to all[first[i]:], one element per slot it
-	// has, so workers never share one.
+	// Superblock i's slots are all[first[i]:first[i+1]], so workers never
+	// share one.
 	hdr := make([]byte, sbHeaderSize)
 	first := make([]int, h.numSB+1)
 	for i := 0; i < h.numSB; i++ {
@@ -82,40 +88,40 @@ func (h *Heap) Recover(workers int, cutoff uint64) ([]Block, error) {
 	}
 
 	// Phase 2: sweep blocks in parallel, cyclically distributing
-	// superblocks among workers; found[i] of superblock i's slots decode.
+	// superblocks among workers.
 	all := make([]Block, first[h.numSB])
-	found := make([]int, h.numSB)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			buf := make([]byte, h.sbSize)
 			for i := w; i < h.numSB; i += workers {
 				cls := h.sbClass[i].Load()
 				if cls < 0 {
 					continue
 				}
-				if err := h.dev.Read(w, h.sbAddr(i), buf); err != nil {
+				sb, err := h.dev.View(w, h.sbAddr(i), h.sbSize)
+				if err != nil {
 					errs[w] = err
 					return
 				}
 				bs := sizeClasses[cls]
-				out := all[first[i]:first[i]:first[i+1]]
-				for off := sbHeaderSize; off+bs <= h.sbSize; off += bs {
-					ph, data, ok := payload.Decode(buf[off : off+bs])
+				j := first[i]
+				for off := sbHeaderSize; off+bs <= h.sbSize; off, j = off+bs, j+1 {
+					ph, data, ok := payload.Decode(sb[off : off+bs])
 					if !ok {
 						continue
 					}
-					var cp []byte
+					b := &all[j]
+					b.Addr, b.Header = h.sbAddr(i)+pmem.Addr(off), ph
 					if ph.Epoch <= cutoff && ph.Typ != payload.Delete {
-						cp = make([]byte, len(data))
-						copy(cp, data)
+						b.Data = data[:len(data):len(data)]
 					}
-					out = append(out, Block{Addr: h.sbAddr(i) + pmem.Addr(off), Header: ph, Data: cp})
+					if visit != nil {
+						visit(w, j, b)
+					}
 				}
-				found[i] = len(out)
 			}
 		}(w)
 	}
@@ -125,15 +131,7 @@ func (h *Heap) Recover(workers int, cutoff uint64) ([]Block, error) {
 			return nil, err
 		}
 	}
-	// Close the gaps invalid slots left.
-	n := 0
-	for i, k := range found {
-		if n != first[i] {
-			copy(all[n:], all[first[i]:first[i]+k])
-		}
-		n += k
-	}
-	return all[:n], nil
+	return all, nil
 }
 
 // FinishRecovery rebuilds the free lists: every block slot in every
